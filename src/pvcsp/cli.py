@@ -22,7 +22,7 @@ from .core import (
     pvcsp_oracle,
     YES,
 )
-from .errors import FormatError, PvcspError, ResourceGuard
+from .errors import FormatError, InvariantViolated, PvcspError, ResourceGuard
 from .theory import BlockPartition, PromiseFpol
 from .values import format_value
 
@@ -55,8 +55,12 @@ def _load_instance(path: str) -> Instance:
 def _parse_partition(spec: str) -> BlockPartition:
     if not spec.startswith("sizes:"):
         raise FormatError("partition spec must look like 'sizes:2,1'")
-    sizes = [int(s) for s in spec[len("sizes:") :].split(",")]
-    return BlockPartition.from_sizes(sizes)
+    try:
+        sizes = [int(s) for s in spec[len("sizes:") :].split(",")]
+        # a size below 1 makes an empty block, which from_sizes rejects
+        return BlockPartition.from_sizes(sizes)
+    except ValueError as exc:
+        raise FormatError(f"bad partition {spec!r}: {exc}") from None
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -161,6 +165,9 @@ def _family_bounds(family: str) -> tuple[int, int]:
 def cmd_compare(args) -> int:
     rng = random.Random(args.seed)
     engines = args.engines.split(",")
+    unknown = [e for e in engines if e not in ("blp", "combined")]
+    if unknown:
+        raise FormatError(f"unknown engine {unknown[0]!r}; valid engines: blp, combined")
     records = []
     flagged = 0
     max_vars, max_terms = _family_bounds(args.family)
@@ -288,12 +295,12 @@ def main(argv=None) -> int:
     except (FormatError, ResourceGuard, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except InvariantViolated as exc:
+        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except PvcspError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except AssertionError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

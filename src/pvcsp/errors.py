@@ -41,6 +41,10 @@ class IndexMisalignment(PvcspError):
     pass
 
 
+class InvariantViolated(PvcspError):
+    """An internal check failed: a bug in the solver, not in the input."""
+
+
 class SamplerSignatureMismatch(PvcspError):
     pass
 

@@ -2,17 +2,23 @@
 
 Two-phase simplex with Bland's anti-cycling rule over Fractions.  Also
 provides the relative-interior machinery: a support profile (which
-coordinates can be positive over the feasible region) and a relative
-interior point obtained by averaging coordinate-maximising witnesses.
+coordinates can be positive over the feasible region or over its optimal
+face) and a relative interior point, the average of the witnesses found by
+warm support rounds on the one tableau that phase 1 built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from .errors import DimensionMismatch, InfeasibleRegion, UnboundedObjective
+from .errors import (
+    DimensionMismatch,
+    InfeasibleRegion,
+    InvariantViolated,
+    UnboundedObjective,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,9 +47,6 @@ class LinearProgram:
             self.rhs + [b],
             self.objective[:],
         )
-
-    def with_objective(self, objective: list[Fraction]) -> "LinearProgram":
-        return LinearProgram(self.n, self.rows, self.rhs, objective)
 
 
 INFEASIBLE = "infeasible"
@@ -117,15 +120,15 @@ class _Tableau:
                     red[j] -= cb * row[j]
         return red
 
-    def _first_negative(self, cost: list[Fraction], allowed: int) -> int:
-        """Lowest-index column with negative reduced cost, or -1.
+    def _first_negative(self, cost: list[Fraction], allowed: Iterable[int]) -> int:
+        """Lowest allowed column with negative reduced cost, or -1.
 
         Computed column by column so the scan stops at the first hit
         instead of pricing the whole tableau."""
         priced = [
             (i, cost[b]) for i, b in enumerate(self.basis) if cost[b] != 0
         ]
-        for j in range(allowed):
+        for j in allowed:
             red = cost[j]
             for i, cb in priced:
                 a = self.rows[i][j]
@@ -135,11 +138,13 @@ class _Tableau:
                 return j
         return -1
 
-    def run(self, cost: list[Fraction], allowed: int) -> Optional[int]:
-        """Minimise cost over columns [0, allowed) with Bland's rule.
+    def run(self, cost: list[Fraction], allowed: Iterable[int]) -> Optional[int]:
+        """Minimise cost over the allowed columns with Bland's rule.
 
-        Returns None on optimality, or the entering column index on
-        unboundedness (no positive pivot entry in that column).
+        `allowed` lists column indices in increasing order and must hold
+        every basic column; the others stay nonbasic at 0.  Returns None on
+        optimality, or the entering column index on unboundedness (no
+        positive pivot entry in that column).
         """
         while True:
             enter = self._first_negative(cost, allowed)
@@ -183,8 +188,8 @@ def _phase1(lp: LinearProgram) -> Optional[_Tableau]:
     """Find a basic feasible tableau, or None if the region is empty."""
     tab = _Tableau(lp)
     cost = [ZERO] * lp.n + [ONE] * tab.m
-    unb = tab.run(cost, tab.width)
-    assert unb is None, "phase-1 objective is bounded below by 0"
+    if tab.run(cost, range(tab.width)) is not None:
+        raise InvariantViolated("phase-1 objective is bounded below by 0")
     value = sum(
         (tab.rhs[i] for i, b in enumerate(tab.basis) if b >= lp.n),
         ZERO,
@@ -209,83 +214,102 @@ def _phase1(lp: LinearProgram) -> Optional[_Tableau]:
     return tab
 
 
+class WarmLP:
+    """One phase 1; phase 2 and the support rounds then run on the same
+    tableau, each from the basis the previous step left."""
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        self.tab = _phase1(lp)  # None when the region is empty
+
+    def minimise(self) -> LPResult:
+        """Phase 2; Optimal returns a minimising basic solution."""
+        if self.tab is None:
+            return LPResult(INFEASIBLE)
+        tab = self.tab
+        enter = tab.run(self._cost(), range(self.lp.n))
+        if enter is not None:
+            return LPResult(UNBOUNDED, point=tab.solution(), ray=tab.ray(enter))
+        point = tab.solution()
+        value = sum((c * x for c, x in zip(self.lp.objective, point)), ZERO)
+        return LPResult(OPTIMAL, value=value, point=point)
+
+    def optimum(self) -> LPResult:
+        """minimise, raising unless the objective attains a minimum."""
+        res = self.minimise()
+        if res.status == INFEASIBLE:
+            raise InfeasibleRegion("no optimum over an empty region")
+        if res.status == UNBOUNDED:
+            raise UnboundedObjective("objective unbounded below on the region")
+        return res
+
+    def _cost(self) -> list[Fraction]:
+        return list(self.lp.objective) + [ZERO] * (self.tab.width - self.lp.n)
+
+    def interior_point(self) -> tuple[list[Fraction], list[bool]]:
+        """A feasible point positive exactly on the support profile, and
+        the profile: flag_i is true iff x_i can be positive in the region."""
+        return self._rounds(range(self.lp.n))
+
+    def face_interior_point(self) -> tuple[list[Fraction], list[bool]]:
+        """interior_point of the optimal face.
+
+        At an optimal basis c.x = z* + sum_j red_j x_j on the region, with
+        every red_j >= 0, so the optimal face is the region restricted to
+        the columns of zero reduced cost.
+        """
+        self.optimum()
+        red = self.tab.reduced_costs(self._cost())
+        return self._rounds([j for j in range(self.lp.n) if red[j] == 0])
+
+    def _rounds(self, allowed) -> tuple[list[Fraction], list[bool]]:
+        """Support rounds over the allowed columns, from the current basis.
+
+        The basic solution is the first witness.  Each round minimises
+        minus the sum of the coordinates no witness has made positive yet;
+        its optimum, or the end of its improving ray (whose cost, the
+        entering column's reduced cost, is negative), is a witness that
+        makes at least one of them positive, so at most n rounds run.  An
+        optimum of 0 proves the rest are 0 all over the region.  The
+        uniform average of the witnesses keeps the equalities and is
+        positive on every flagged coordinate, by convexity.
+        """
+        tab = self.tab
+        if tab is None:
+            raise InfeasibleRegion("support profile of an empty region")
+        witnesses = [tab.solution()]
+        flags = [x > 0 for x in witnesses[0]]
+        while uncovered := [j for j in allowed if not flags[j]]:
+            cost = [ZERO] * tab.width
+            for j in uncovered:
+                cost[j] = -ONE
+            enter = tab.run(cost, allowed)
+            witness = tab.solution()
+            if enter is not None:
+                witness = [p + d for p, d in zip(witness, tab.ray(enter))]
+            new = [j for j in uncovered if witness[j] > 0]
+            if not new:
+                break
+            for j in new:
+                flags[j] = True
+            witnesses.append(witness)
+        k = Fraction(len(witnesses))
+        point = [sum((w[i] for w in witnesses), ZERO) / k for i in range(self.lp.n)]
+        return point, flags
+
+
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Exact classification; Optimal returns a minimising basic solution."""
-    tab = _phase1(lp)
-    if tab is None:
-        return LPResult(INFEASIBLE)
-    cost = list(lp.objective) + [ZERO] * (tab.width - lp.n)
-    enter = tab.run(cost, lp.n)
-    if enter is not None:
-        return LPResult(UNBOUNDED, point=tab.solution(), ray=tab.ray(enter))
-    point = tab.solution()
-    value = sum((c * x for c, x in zip(lp.objective, point)), ZERO)
-    return LPResult(OPTIMAL, value=value, point=point)
-
-
-def _support_witnesses(lp: LinearProgram) -> tuple[list[bool], list[list[Fraction]]]:
-    """Per-coordinate can-be-positive flags plus feasible witness points.
-
-    Each flagged coordinate is positive in at least one returned witness.
-    A coordinate already positive in a collected witness needs no extra LP
-    solve, so the n auxiliary solves usually collapse to a handful.
-    """
-    tab = _phase1(lp)
-    if tab is None:
-        raise InfeasibleRegion("support profile of an empty region")
-    base = tab.solution()
-    flags = [False] * lp.n
-    witnesses = [base]
-    for i in range(lp.n):
-        if any(w[i] > 0 for w in witnesses):
-            flags[i] = True
-            continue
-        obj = [ZERO] * lp.n
-        obj[i] = Fraction(-1)
-        res = solve_lp(lp.with_objective(obj))
-        if res.status == UNBOUNDED:
-            # the improving ray has positive i-th component
-            witness = [p + d for p, d in zip(res.point, res.ray)]
-            flags[i] = True
-            witnesses.append(witness)
-        elif res.value < 0:
-            flags[i] = True
-            witnesses.append(res.point)
-    return flags, witnesses
-
-
-def support_profile(lp: LinearProgram) -> list[bool]:
-    """flag_i is true iff x_i can be positive somewhere in the region."""
-    flags, _ = _support_witnesses(lp)
-    return flags
-
-
-def relative_interior_point(lp: LinearProgram) -> list[Fraction]:
-    """A feasible point positive exactly on the support profile.
-
-    The uniform average of the witnesses: averaging preserves the equality
-    constraints and strict positivity by convexity.
-    """
-    point, _ = relative_interior_point_with_flags(lp)
-    return point
+    return WarmLP(lp).minimise()
 
 
 def relative_interior_point_with_flags(
     lp: LinearProgram,
 ) -> tuple[list[Fraction], list[bool]]:
-    flags, witnesses = _support_witnesses(lp)
-    k = Fraction(len(witnesses))
-    point = [
-        sum((w[i] for w in witnesses), ZERO) / k for i in range(lp.n)
-    ]
-    return point, flags
+    """WarmLP.interior_point, from the vertex phase 1 found."""
+    return WarmLP(lp).interior_point()
 
 
 def restrict_to_optimal_face(lp: LinearProgram) -> LinearProgram:
     """Append the equality objective = optimal value."""
-    res = solve_lp(lp)
-    if res.status == INFEASIBLE:
-        raise InfeasibleRegion("cannot restrict an empty region")
-    if res.status == UNBOUNDED:
-        raise UnboundedObjective("objective unbounded below on the region")
-    return lp.with_extra_row(list(lp.objective), res.value)
+    return lp.with_extra_row(list(lp.objective), WarmLP(lp).optimum().value)

@@ -19,6 +19,7 @@ from . import exactlp, lattice
 from .core import Instance, ValuedStructure, validate_instance
 from .errors import (
     IndexMisalignment,
+    InvariantViolated,
     PreconditionViolated,
     SamplerSignatureMismatch,
     PvcspError,
@@ -92,19 +93,15 @@ def _constraint_rows(
                     rows.append(row)
                     rhs.append(ZERO)
     for x in instance.variables:
+        # if every marginal of x is eliminated, the all-zero row reads 0 = 1
+        # and correctly renders the program infeasible
         row = [ZERO] * n
-        touched = False
         for a in delta.domain:
             pos = index.position.get(("mu", x, a))
             if pos is not None:
                 row[pos] += ONE
-                touched = True
         rows.append(row)
         rhs.append(ONE)
-        if not touched:
-            # every marginal of x eliminated: normalisation 0 = 1, and the
-            # all-zero row correctly renders the program infeasible
-            pass
     return rows, rhs
 
 
@@ -116,7 +113,8 @@ def _objective(
         if key[0] == "lam":
             _, j, t = key
             cost = delta.cost(instance.terms[j].symbol, t)
-            assert is_finite(cost), "eliminated columns carry the infinities"
+            if not is_finite(cost):
+                raise InvariantViolated("eliminated columns carry the infinities")
             obj[i] = cost
     return obj
 
@@ -165,7 +163,11 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> BlpProgram:
 
 def build_aip(delta: ValuedStructure, instance: Instance) -> AipProgram:
     """The affine IP relaxation, sharing build_blp's column indexing."""
-    blp = build_blp(delta, instance)
+    return _aip_of(build_blp(delta, instance))
+
+
+def _aip_of(blp: BlpProgram) -> AipProgram:
+    """The AIP with the BLP's constraints, objective and columns."""
     rows = [[int(a) for a in row] for row in blp.lp.rows]
     rhs = [int(b) for b in blp.lp.rhs]
     return AipProgram(rows, rhs, blp.lp.objective, blp.index)
@@ -175,7 +177,8 @@ def blp_value(blp: BlpProgram) -> ExtVal:
     res = exactlp.solve_lp(blp.lp)
     if res.status == exactlp.INFEASIBLE:
         return PLUS_INF
-    assert res.status == exactlp.OPTIMAL, "BLP region is bounded"
+    if res.status != exactlp.OPTIMAL:
+        raise InvariantViolated("BLP region is bounded")
     return res.value
 
 
@@ -199,16 +202,21 @@ class StarPoint:
         return self.values[pos] if pos is not None else ZERO
 
 
-def _assert_star_invariants(
+def _check_star_invariants(
     blp: BlpProgram, point: list[Fraction], flags: list[bool], u: Fraction
 ) -> None:
+    """Raise InvariantViolated unless the point is feasible, costs at most
+    u and is positive exactly where flagged."""
     for row, b in zip(blp.lp.rows, blp.lp.rhs):
-        assert sum((a * x for a, x in zip(row, point)), ZERO) == b
-    assert all(x >= 0 for x in point)
+        if sum((a * x for a, x in zip(row, point)), ZERO) != b:
+            raise InvariantViolated("star point violates an equality")
+    if any(x < 0 for x in point):
+        raise InvariantViolated("star point has a negative coordinate")
     cost = sum((c * x for c, x in zip(blp.lp.objective, point)), ZERO)
-    assert cost <= u
-    for x, f in zip(point, flags):
-        assert (x > 0) == f
+    if cost > u:
+        raise InvariantViolated("star point costs more than the threshold")
+    if any((x > 0) != f for x, f in zip(point, flags)):
+        raise InvariantViolated("star point support differs from its flags")
 
 
 def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
@@ -216,15 +224,18 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
 
     A relative interior point of the feasibility polytope with cost <= u if
     one exists (directly, or as a strict convex combination with an optimal
-    vertex), else a relative interior point of the optimal face.
+    vertex), else a relative interior point of the optimal face.  One phase
+    1 serves all three: the optimum, the support rounds that start from the
+    optimal vertex, and the optimal face's support rounds.
     """
-    res = exactlp.solve_lp(blp.lp)
+    warm = exactlp.WarmLP(blp.lp)
+    res = warm.minimise()
     if res.status != exactlp.OPTIMAL or not res.value <= u:
         raise PreconditionViolated("select_star_point requires blp value <= u")
-    p, flags = exactlp.relative_interior_point_with_flags(blp.lp)
+    p, flags = warm.interior_point()
     cost_p = sum((c * x for c, x in zip(blp.lp.objective, p)), ZERO)
     if cost_p <= u:
-        _assert_star_invariants(blp, p, flags, u)
+        _check_star_invariants(blp, p, flags, u)
         return StarPoint(p, FEASIBLE_INTERIOR, blp.index)
     if res.value < u:
         # cost(p) > u > m: mix towards the optimal vertex just past the
@@ -235,12 +246,11 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
         mixed = [
             (1 - theta) * a + theta * b for a, b in zip(p, res.point)
         ]
-        _assert_star_invariants(blp, mixed, flags, u)
+        _check_star_invariants(blp, mixed, flags, u)
         return StarPoint(mixed, FEASIBLE_INTERIOR, blp.index)
-    face = exactlp.restrict_to_optimal_face(blp.lp)
-    q, face_flags = exactlp.relative_interior_point_with_flags(face)
-    face_blp = BlpProgram(face, blp.index)
-    _assert_star_invariants(face_blp, q, face_flags, u)
+    q, face_flags = warm.face_interior_point()
+    face = blp.lp.with_extra_row(list(blp.lp.objective), res.value)
+    _check_star_invariants(BlpProgram(face, blp.index), q, face_flags, u)
     return StarPoint(q, OPTIMAL_FACE_INTERIOR, blp.index)
 
 
@@ -296,8 +306,7 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     if not value <= u:
         return SolveAnswer(NO, value, program_size=size)
     star = select_star_point(blp, u)
-    aip = build_aip(delta, instance)
-    refined = refine_aip(aip, star)
+    refined = refine_aip(_aip_of(blp), star)
     aff = aip_value(refined)
     verdict = YES if lattice.check_threshold(aff, u) else NO
     return SolveAnswer(

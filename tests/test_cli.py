@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from pvcsp import cli, formats, generators
-from pvcsp.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from pvcsp import cli, formats, generators, relax
+from pvcsp.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_NO, EXIT_YES, main
+from pvcsp.errors import InvariantViolated
 
 STRUCTURE = """domain 0 1
 symbol neq 2 default inf
@@ -76,6 +77,16 @@ def test_solve_malformed_value_is_error(files, tmp_path, capsys):
     assert main(["solve", "--structure", str(bad), "--instance", sat]) == EXIT_ERROR
 
 
+def test_solve_invariant_violation_is_internal(files, monkeypatch, capsys):
+    def broken(delta, instance):
+        raise InvariantViolated("star point support differs from its flags")
+
+    monkeypatch.setattr(relax, "combined_solve", broken)
+    _, s, sat, _ = files
+    assert main(["solve", "--structure", s, "--instance", sat]) == EXIT_INTERNAL
+    assert "internal invariant violation" in capsys.readouterr().err
+
+
 def test_check_accepts_valid_fpol(files, tmp_path, capsys):
     _, s, _, _ = files
     measure = tmp_path / "m.pvcsp"
@@ -122,6 +133,23 @@ def test_construct_cap_exceeded(files, capsys):
         ["construct", "--structure", s, "--partition", "sizes:3,2", "--cap", "5"]
     )
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("spec", ["sizes:a", "sizes:0", "sizes:2,-1", "sizes:"])
+def test_construct_malformed_partition(files, capsys, spec):
+    _, s, _, _ = files
+    code = main(["construct", "--structure", s, "--partition", spec])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad partition {spec!r}")
+
+
+def test_compare_unknown_engine(capsys):
+    args = ["compare", "--family", "xor", "--count", "1", "--engines", "combined,bogus"]
+    assert main(args) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "'bogus'" in captured.err and "blp, combined" in captured.err
+    assert captured.out == ""
 
 
 def test_compare_clean_run(capsys):

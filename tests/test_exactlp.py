@@ -5,17 +5,16 @@ import pytest
 
 from helpers import enumerate_vertices, vertex_minimum
 from pvcsp import exactlp
-from pvcsp.errors import DimensionMismatch, InfeasibleRegion
+from pvcsp.errors import DimensionMismatch, InfeasibleRegion, UnboundedObjective
 from pvcsp.exactlp import (
     INFEASIBLE,
     LinearProgram,
     OPTIMAL,
     UNBOUNDED,
-    relative_interior_point,
+    WarmLP,
     relative_interior_point_with_flags,
     restrict_to_optimal_face,
     solve_lp,
-    support_profile,
 )
 
 Z = F(0)
@@ -60,39 +59,40 @@ def test_dimension_mismatch():
         LinearProgram(2, [[F(1)]], [F(1)], [F(0), F(0)])
 
 
+def support(prog):
+    return relative_interior_point_with_flags(prog)[1]
+
+
 def test_support_profile_simplex_face():
-    assert support_profile(lp(2, [[1, 1]], [1], [0, 0])) == [True, True]
+    assert support(lp(2, [[1, 1]], [1], [0, 0])) == [True, True]
 
 
 def test_support_profile_pinned_coordinate():
-    assert support_profile(lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0])) == [
-        True,
-        False,
-    ]
+    assert support(lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0])) == [True, False]
 
 
 def test_support_profile_unbounded_direction():
     # x - y = 0 over x, y >= 0: both coordinates unbounded
-    assert support_profile(lp(2, [[1, -1]], [0], [0, 0])) == [True, True]
+    assert support(lp(2, [[1, -1]], [0], [0, 0])) == [True, True]
 
 
 def test_support_profile_infeasible():
     with pytest.raises(InfeasibleRegion):
-        support_profile(lp(1, [[1], [1]], [1, 2], [0]))
+        support(lp(1, [[1], [1]], [1, 2], [0]))
 
 
 def test_relative_interior_simplex():
-    p = relative_interior_point(lp(2, [[1, 1]], [1], [0, 0]))
+    p, _ = relative_interior_point_with_flags(lp(2, [[1, 1]], [1], [0, 0]))
     assert p[0] > 0 and p[1] > 0 and p[0] + p[1] == 1
 
 
 def test_relative_interior_single_point():
-    p = relative_interior_point(lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0]))
+    p, _ = relative_interior_point_with_flags(lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0]))
     assert p == [F(1), Z]
 
 
 def test_relative_interior_free_cone():
-    p = relative_interior_point(lp(1, [], [], [0]))
+    p, _ = relative_interior_point_with_flags(lp(1, [], [], [0]))
     assert p[0] > 0
 
 
@@ -119,14 +119,98 @@ def test_restrict_to_optimal_face_pins_expensive_var():
     prog = lp(2, [[1, 1]], [1], [0, 1])
     face = restrict_to_optimal_face(prog)
     assert face.rows[-1] == [Z, F(1)] and face.rhs[-1] == Z
-    assert support_profile(face) == [True, False]
+    assert support(face) == [True, False]
 
 
 def test_restrict_redundant_when_face_is_whole_polytope():
     prog = lp(2, [[1, 1]], [1], [1, 1])
     face = restrict_to_optimal_face(prog)
     assert face.rhs[-1] == F(1)
-    assert support_profile(face) == [True, True]
+    assert support(face) == [True, True]
+
+
+def bounded_lp(rng):
+    """A random region that a row of positive coefficients keeps bounded,
+    with zero right-hand sides (degenerate vertices) and, half the time, a
+    redundant row: the sum of two others."""
+    n = rng.randint(2, 6)
+    rows = [[rng.randint(1, 3) for _ in range(n)]]
+    rhs = [rng.randint(1, 4)]
+    for _ in range(rng.randint(0, 2)):
+        rows.append([rng.randint(-2, 2) for _ in range(n)])
+        rhs.append(rng.choice([0, 0, 1]))
+    if len(rows) > 1 and rng.random() < 0.5:
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+        rhs.append(rhs[0] + rhs[-1])
+    return lp(n, rows, rhs, [rng.randint(-2, 2) for _ in range(n)])
+
+
+def support_union(points, n):
+    return [any(p[i] > 0 for p in points) for i in range(n)]
+
+
+def assert_interior(prog, point, flags):
+    for row, b in zip(prog.rows, prog.rhs):
+        assert sum((a * x for a, x in zip(row, point)), Z) == b
+    assert [x > 0 for x in point] == flags and all(x >= 0 for x in point)
+
+
+def test_warm_rounds_match_vertex_enumeration():
+    # a bounded region is the hull of its vertices, so its support is the
+    # union of theirs, and its optimal face's support the union of the
+    # optimal vertices'
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(150):
+        prog = bounded_lp(rng)
+        vertices = enumerate_vertices(prog)
+        if not vertices:
+            continue
+        checked += 1
+        warm = WarmLP(prog)
+        res = warm.minimise()
+        point, flags = warm.interior_point()
+        assert flags == support_union(vertices, prog.n)
+        assert_interior(prog, point, flags)
+        cost = [sum((c * x for c, x in zip(prog.objective, v)), Z) for v in vertices]
+        best = [v for v, c in zip(vertices, cost) if c == min(cost)]
+        face_point, face_flags = warm.face_interior_point()
+        assert face_flags == support_union(best, prog.n)
+        assert_interior(prog, face_point, face_flags)
+        assert sum((c * x for c, x in zip(prog.objective, face_point)), Z) == res.value
+        # the face straight after phase 1, without the earlier rounds
+        assert WarmLP(prog).face_interior_point()[1] == face_flags
+    assert checked >= 100
+
+
+def test_warm_rounds_unbounded_region():
+    # x1 - x2 = 1 with x3 pinned to 0: x1 and x2 grow along a ray
+    warm = WarmLP(lp(3, [[1, -1, 0], [0, 0, 1]], [1, 0], [0, 0, 0]))
+    point, flags = warm.interior_point()
+    assert flags == [True, True, False]
+    assert point[0] - point[1] == 1 and point[2] == 0
+
+
+def test_warm_face_of_unbounded_region():
+    # x1 - x2 = 0 minimising x3: the face is the ray x1 = x2, x3 = 0
+    prog = lp(3, [[1, -1, 0]], [0], [0, 0, 1])
+    point, flags = WarmLP(prog).face_interior_point()
+    assert flags == [True, True, False]
+    assert point[0] == point[1] > 0
+
+
+def test_warm_face_unbounded_objective():
+    with pytest.raises(UnboundedObjective):
+        WarmLP(lp(2, [[1, -1]], [0], [-1, 0])).face_interior_point()
+
+
+def test_warm_rounds_empty_region():
+    warm = WarmLP(lp(1, [[1], [1]], [1, 2], [0]))
+    assert warm.minimise().status == INFEASIBLE
+    with pytest.raises(InfeasibleRegion):
+        warm.interior_point()
+    with pytest.raises(InfeasibleRegion):
+        warm.face_interior_point()
 
 
 def random_lp(rng, n_max=6, m_max=4):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -229,6 +232,35 @@ def test_select_star_point_interior_meets_loose_threshold():
     assert star.value_of(("lam", 0, ("0",))) > 0
     assert star.value_of(("lam", 0, ("1",))) > 0
     assert star_cost(blp, star) <= F(1, 2)
+
+
+def test_star_invariants_survive_optimise_flag():
+    # under python -O every assert vanishes; the star-point check must not
+    script = """
+from fractions import Fraction as F
+from pvcsp import generators, relax
+from pvcsp.core import Instance, Term
+from pvcsp.errors import InvariantViolated
+if __debug__:
+    raise SystemExit("asserts are still on")
+ins = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
+blp = relax.build_blp(generators.xor_structure(), ins)
+star = relax.select_star_point(blp, F(0))
+flags = [v > 0 for v in star.values]
+bad = list(star.values)
+bad[0] += 1
+try:
+    relax._check_star_invariants(blp, bad, flags, F(0))
+except InvariantViolated as exc:
+    print("caught:", exc)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out.startswith("caught: star point violates an equality")
 
 
 def test_select_star_point_requires_threshold():
