@@ -8,6 +8,7 @@ sentinel number.  Structures are immutable after construction.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -112,7 +113,7 @@ class ValuedStructure:
         return itertools.product(self.domain, repeat=self.signature.arity(symbol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     symbol: str
     args: tuple[str, ...]
@@ -147,6 +148,13 @@ class PromiseTemplate:
             raise DomainMismatch("template structures must share a signature")
 
 
+# every live table built by OperationTable.from_map, by value: equal tables
+# are one object, so the measures that witness searches return share their
+# few distinct tables (and each table's lookup dict) instead of each holding
+# copies
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class OperationTable:
     """A total map from in_domain^arity to out_domain, stored explicitly."""
@@ -168,7 +176,9 @@ class OperationTable:
             if out not in out_domain:
                 raise DomainMismatch(f"output {out!r} outside codomain")
             entries.append((args, out))
-        return cls(in_domain, out_domain, arity, tuple(entries))
+        table = cls(in_domain, out_domain, arity, tuple(entries))
+        key = (cls, in_domain, out_domain, arity, table.entries)
+        return _TABLES.setdefault(key, table)
 
     @classmethod
     def from_callable(cls, in_domain, out_domain, arity, fn) -> "OperationTable":
@@ -189,7 +199,7 @@ class OperationTable:
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteMeasure:
     """Finitely supported probability measure with positive rational weights."""
 

@@ -1,6 +1,9 @@
 """Exact rational LP in standard equality form (min c.x, Ax = b, x >= 0).
 
-Two-phase simplex with Bland's anti-cycling rule over Fractions.  Also
+Two-phase simplex with Bland's anti-cycling rule.  Inputs and outputs are
+Fractions; the tableau is integer-preserving (Python ints over one
+denominator per row, fraction-free Bareiss pivots) and keeps its
+reduced-cost row up to date, so pricing is a scan of that row.  Also
 provides the relative-interior machinery: a support profile (which
 coordinates can be positive over the feasible region or over its optimal
 face) and a relative interior point, the average of the witnesses found by
@@ -9,6 +12,7 @@ warm support rounds on the one tableau that phase 1 built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -62,155 +66,183 @@ class LPResult:
     ray: Optional[list[Fraction]] = None  # improving ray when unbounded
 
 
+def _eliminate(row: list[int], e: int, f: int, prow: list[int], p: int) -> list[int]:
+    """Bareiss step: row, over denominator e, less f / p times the pivot
+    row, over the new denominator p; the division by e is exact."""
+    if e == 1:
+        return [p * a - f * b for a, b in zip(row, prow)]
+    return [(p * a - f * b) // e for a, b in zip(row, prow)]
+
+
 class _Tableau:
-    """Simplex tableau with an explicit basis; columns beyond lp.n are
-    phase-1 artificials."""
+    """Integer-preserving simplex tableau with an explicit basis.
+
+    Row i of `rows` holds the constraint coefficients and then the rhs, all
+    Python ints; the true row is rows[i] / den[i].  `d` > 0 is the absolute
+    determinant of the basis in the row-scaled program, and a row carried
+    over denominator d is d times its true row, in ints (Cramer's rule).  A
+    pivot is a Bareiss update (Edmonds 1967; Bareiss 1968): each row with a
+    nonzero entry in the pivot column moves to the new d, by exact
+    divisions.  A row with a zero there is unchanged as a rational row, so
+    it keeps the denominator it had instead of being rescaled.  Columns
+    beyond n are phase-1 artificials, dropped once phase 1 is over.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.n = lp.n
         m = len(lp.rows)
-        self.m = m
-        # flip rows so rhs >= 0, then append the artificial identity
-        self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
-        for i in range(m):
-            if lp.rhs[i] < 0:
-                self.rows.append([-a for a in lp.rows[i]])
-                self.rhs.append(-lp.rhs[i])
-            else:
-                self.rows.append(list(lp.rows[i]))
-                self.rhs.append(lp.rhs[i])
-        for i in range(m):
-            art = [ZERO] * m
-            art[i] = ONE
-            self.rows[i] = self.rows[i] + art
+        # row i scaled by s_i, the lcm of its denominators, with its sign
+        # chosen so that rhs >= 0; then the artificial identity
+        self.scale: list[int] = []
+        self.scaled: list[list[int]] = []
+        self.rows: list[list[int]] = []
+        for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+            s = math.lcm(b.denominator, *(a.denominator for a in row))
+            if b < 0:
+                s = -s
+            ints = [a.numerator * (s // a.denominator) for a in row]
+            ints.append(b.numerator * (s // b.denominator))
+            self.scale.append(abs(s))
+            self.scaled.append(ints)
+            art = [0] * m
+            art[i] = 1
+            self.rows.append(ints[:-1] + art + ints[-1:])
+        self.den = [1] * m
         self.width = self.n + m
         self.basis = [self.n + i for i in range(m)]
+        self.d = 1
+        # the reduced-cost row of the current run, over red_den; see run
+        self.red: Optional[list[int]] = None
+        self.red_den = 1
+
+    def _at_d(self, row: list[int], e: int) -> list[int]:
+        """A row over denominator e, carried over d instead."""
+        d = self.d
+        return row if e == d else [a * d // e for a in row]
 
     def pivot(self, r: int, c: int) -> None:
-        prow = self.rows[r]
+        prow = self._at_d(self.rows[r], self.den[r])
         p = prow[c]
-        if p != ONE:
-            inv = ONE / p
-            self.rows[r] = prow = [a * inv for a in prow]
-            self.rhs[r] = self.rhs[r] * inv
-        nz = [j for j, v in enumerate(prow) if v != 0]
-        prhs = self.rhs[r]
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            row = self.rows[i]
+        if p < 0:  # only when driving out artificials; keeps d > 0
+            prow = [-a for a in prow]
+            p = -p
+        rows, den = self.rows, self.den
+        for i, row in enumerate(rows):
             f = row[c]
-            if f == 0:
-                continue
-            for j in nz:
-                row[j] = row[j] - f * prow[j]
-            self.rhs[i] = self.rhs[i] - f * prhs
+            if f and i != r:
+                rows[i] = _eliminate(row, den[i], f, prow, p)
+                den[i] = p
+        rows[r], den[r] = prow, p
+        if self.red is not None:
+            self.red = _eliminate(self.red, self.red_den, self.red[c], prow, p)
+            self.red_den = p
+        self.d = p
         self.basis[r] = c
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        red = list(cost)
-        for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb == 0:
-                continue
-            row = self.rows[i]
-            for j in range(self.width):
-                if row[j] != 0:
-                    red[j] -= cb * row[j]
-        return red
-
-    def _first_negative(self, cost: list[Fraction], allowed: Iterable[int]) -> int:
-        """Lowest allowed column with negative reduced cost, or -1.
-
-        Computed column by column so the scan stops at the first hit
-        instead of pricing the whole tableau."""
-        priced = [
-            (i, cost[b]) for i, b in enumerate(self.basis) if cost[b] != 0
-        ]
-        for j in allowed:
-            red = cost[j]
-            for i, cb in priced:
-                a = self.rows[i][j]
-                if a != 0:
-                    red -= cb * a
-            if red < 0:
-                return j
-        return -1
-
-    def run(self, cost: list[Fraction], allowed: Iterable[int]) -> Optional[int]:
+    def run(self, cost: list, allowed: Iterable[int]) -> Optional[int]:
         """Minimise cost over the allowed columns with Bland's rule.
 
-        `allowed` lists column indices in increasing order and must hold
-        every basic column; the others stay nonbasic at 0.  Returns None on
-        optimality, or the entering column index on unboundedness (no
-        positive pivot entry in that column).
+        `cost` holds ints or Fractions, one per column.  `allowed` lists
+        column indices in increasing order and must hold every basic column;
+        the others stay nonbasic at 0.  Returns None on optimality, or the
+        entering column index on unboundedness (no positive pivot entry in
+        that column).  `red` is d * L * (cost - c_B B^-1 A), L the lcm of
+        the cost denominators: built once here and updated by every pivot,
+        so pricing is a scan for its first negative entry.  It is left
+        as the last pivot made it.
         """
+        lcm = math.lcm(*(c.denominator for c in cost))
+        scaled = [c.numerator * (lcm // c.denominator) for c in cost]
+        red = [self.d * c for c in scaled] + [0]
+        for row, b, e in zip(self.rows, self.basis, self.den):
+            w = scaled[b]
+            if w:
+                red = [x - w * a for x, a in zip(red, self._at_d(row, e))]
+        self.red, self.red_den = red, self.d
         while True:
-            enter = self._first_negative(cost, allowed)
+            red = self.red
+            enter = next((j for j in allowed if red[j] < 0), -1)
             if enter < 0:
                 return None
             leave = -1
-            best = None
-            for i in range(len(self.rows)):
-                a = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
+                    if leave < 0:
+                        leave, best = i, row
+                        continue
+                    # rhs_i / a_i against rhs_l / a_l, cross-multiplied;
+                    # each row's denominator cancels in its own ratio
+                    lhs, rhs = row[-1] * best[enter], best[-1] * a
+                    if lhs < rhs or (
+                        lhs == rhs and self.basis[i] < self.basis[leave]
                     ):
-                        best = ratio
-                        leave = i
+                        leave, best = i, row
             if leave < 0:
                 return enter
             self.pivot(leave, enter)
 
     def solution(self) -> list[Fraction]:
+        self._check_rows(-1)
         x = [ZERO] * self.n
-        for i, b in enumerate(self.basis):
+        for row, b, e in zip(self.rows, self.basis, self.den):
             if b < self.n:
-                x[b] = self.rhs[i]
+                x[b] = Fraction(row[-1], e)
         return x
 
     def ray(self, enter: int) -> list[Fraction]:
-        d = [ZERO] * self.n
+        self._check_rows(enter)
+        ray = [ZERO] * self.n
         if enter < self.n:
-            d[enter] = ONE
-        for i, b in enumerate(self.basis):
+            ray[enter] = ONE
+        for row, b, e in zip(self.rows, self.basis, self.den):
             if b < self.n:
-                d[b] = -self.rows[i][enter]
-        return d
+                ray[b] = -Fraction(row[enter], e)
+        return ray
+
+    def _check_rows(self, j: int) -> None:
+        """Raise InvariantViolated unless the basic solution (j = -1, the
+        rhs) or the ray of entering column j satisfies every scaled input
+        row exactly, in ints: the safety net for the exact divisions."""
+        d, n = self.d, self.n
+        # the nonzero basic entries, over d
+        basic = [
+            (b, row[j] * d // e)
+            for row, b, e in zip(self.rows, self.basis, self.den)
+            if b < n and row[j]
+        ]
+        for ints in self.scaled:
+            total = sum(ints[b] * v for b, v in basic)
+            if total != (ints[-1] * d if j < 0 else ints[j] * d):
+                raise InvariantViolated("basic solution violates an input row")
 
 
 def _phase1(lp: LinearProgram) -> Optional[_Tableau]:
     """Find a basic feasible tableau, or None if the region is empty."""
     tab = _Tableau(lp)
-    cost = [ZERO] * lp.n + [ONE] * tab.m
+    # artificial i stands for s_i times the residual of row i, so costs
+    # 1 / s_i make the objective the plain residual sum
+    cost = [0] * lp.n + [Fraction(1, s) for s in tab.scale]
     if tab.run(cost, range(tab.width)) is not None:
         raise InvariantViolated("phase-1 objective is bounded below by 0")
-    value = sum(
-        (tab.rhs[i] for i, b in enumerate(tab.basis) if b >= lp.n),
-        ZERO,
-    )
-    if value != 0:
+    if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= lp.n):
         return None
+    tab.red = None
     # drive artificials out of the basis; drop rows that are redundant
     for i in range(len(tab.basis) - 1, -1, -1):
         if tab.basis[i] < lp.n:
             continue
-        piv = -1
-        for j in range(lp.n):
-            if tab.rows[i][j] != 0:
-                piv = j
-                break
+        row = tab.rows[i]
+        piv = next((j for j in range(lp.n) if row[j] != 0), -1)
         if piv >= 0:
             tab.pivot(i, piv)
         else:
             del tab.rows[i]
-            del tab.rhs[i]
+            del tab.den[i]
             del tab.basis[i]
+    # every basic column is structural now
+    tab.rows = [row[: lp.n] + row[-1:] for row in tab.rows]
+    tab.width = lp.n
     return tab
 
 
@@ -227,11 +259,11 @@ class WarmLP:
         if self.tab is None:
             return LPResult(INFEASIBLE)
         tab = self.tab
-        enter = tab.run(self._cost(), range(self.lp.n))
+        enter = tab.run(self.lp.objective, range(self.lp.n))
         if enter is not None:
             return LPResult(UNBOUNDED, point=tab.solution(), ray=tab.ray(enter))
         point = tab.solution()
-        value = sum((c * x for c, x in zip(self.lp.objective, point)), ZERO)
+        value = sum((self.lp.objective[b] * point[b] for b in tab.basis), ZERO)
         return LPResult(OPTIMAL, value=value, point=point)
 
     def optimum(self) -> LPResult:
@@ -242,9 +274,6 @@ class WarmLP:
         if res.status == UNBOUNDED:
             raise UnboundedObjective("objective unbounded below on the region")
         return res
-
-    def _cost(self) -> list[Fraction]:
-        return list(self.lp.objective) + [ZERO] * (self.tab.width - self.lp.n)
 
     def interior_point(self) -> tuple[list[Fraction], list[bool]]:
         """A feasible point positive exactly on the support profile, and
@@ -259,7 +288,7 @@ class WarmLP:
         the columns of zero reduced cost.
         """
         self.optimum()
-        red = self.tab.reduced_costs(self._cost())
+        red = self.tab.red  # as phase 2 left it, at an optimal basis
         return self._rounds([j for j in range(self.lp.n) if red[j] == 0])
 
     def _rounds(self, allowed) -> tuple[list[Fraction], list[bool]]:
@@ -280,9 +309,9 @@ class WarmLP:
         witnesses = [tab.solution()]
         flags = [x > 0 for x in witnesses[0]]
         while uncovered := [j for j in allowed if not flags[j]]:
-            cost = [ZERO] * tab.width
+            cost = [0] * tab.width
             for j in uncovered:
-                cost[j] = -ONE
+                cost[j] = -1
             enter = tab.run(cost, allowed)
             witness = tab.solution()
             if enter is not None:

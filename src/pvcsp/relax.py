@@ -10,7 +10,9 @@ constrained to zero, and the refinement eliminates further columns.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -124,6 +126,14 @@ class BlpProgram:
     lp: LinearProgram
     index: ProgramIndex
 
+    @functools.cached_property
+    def warm(self) -> exactlp.WarmLP:
+        """The one phase 1 that blp_value and select_star_point share.
+
+        Phase 2 run again from an optimal basis makes no pivot, so
+        select_star_point after blp_value repeats only the pricing."""
+        return exactlp.WarmLP(self.lp)
+
 
 @dataclass
 class AipProgram:
@@ -174,7 +184,7 @@ def _aip_of(blp: BlpProgram) -> AipProgram:
 
 
 def blp_value(blp: BlpProgram) -> ExtVal:
-    res = exactlp.solve_lp(blp.lp)
+    res = blp.warm.minimise()
     if res.status == exactlp.INFEASIBLE:
         return PLUS_INF
     if res.status != exactlp.OPTIMAL:
@@ -202,20 +212,35 @@ class StarPoint:
         return self.values[pos] if pos is not None else ZERO
 
 
+def _int_row(row: list[Fraction], b: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """row . x = b scaled to ints by the lcm of its denominators: the
+    nonzero (column, coefficient) pairs and the rhs."""
+    s = math.lcm(b.denominator, *(a.denominator for a in row))
+    terms = [(j, a.numerator * (s // a.denominator)) for j, a in enumerate(row) if a]
+    return terms, b.numerator * (s // b.denominator)
+
+
 def _check_star_invariants(
     blp: BlpProgram, point: list[Fraction], flags: list[bool], u: Fraction
 ) -> None:
     """Raise InvariantViolated unless the point is feasible, costs at most
-    u and is positive exactly where flagged."""
+    u and is positive exactly where flagged.
+
+    Exact, in ints: the point is scaled by the lcm D of its denominators,
+    so a scaled row holds when its dot product with D x is D times its rhs.
+    """
+    scale = math.lcm(*(x.denominator for x in point))
+    ints = [x.numerator * (scale // x.denominator) for x in point]
     for row, b in zip(blp.lp.rows, blp.lp.rhs):
-        if sum((a * x for a, x in zip(row, point)), ZERO) != b:
+        terms, rhs = _int_row(row, b)
+        if sum(a * ints[j] for j, a in terms) != rhs * scale:
             raise InvariantViolated("star point violates an equality")
-    if any(x < 0 for x in point):
+    if any(x < 0 for x in ints):
         raise InvariantViolated("star point has a negative coordinate")
-    cost = sum((c * x for c, x in zip(blp.lp.objective, point)), ZERO)
-    if cost > u:
+    terms, bound = _int_row(blp.lp.objective, u)
+    if sum(c * ints[j] for j, c in terms) > bound * scale:
         raise InvariantViolated("star point costs more than the threshold")
-    if any((x > 0) != f for x, f in zip(point, flags)):
+    if any((x > 0) != f for x, f in zip(ints, flags)):
         raise InvariantViolated("star point support differs from its flags")
 
 
@@ -224,11 +249,12 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
 
     A relative interior point of the feasibility polytope with cost <= u if
     one exists (directly, or as a strict convex combination with an optimal
-    vertex), else a relative interior point of the optimal face.  One phase
-    1 serves all three: the optimum, the support rounds that start from the
-    optimal vertex, and the optimal face's support rounds.
+    vertex), else a relative interior point of the optimal face.  The BLP's
+    one phase 1 (blp.warm, shared with blp_value) serves all three: the
+    optimum, the support rounds that start from the optimal vertex, and the
+    optimal face's support rounds.
     """
-    warm = exactlp.WarmLP(blp.lp)
+    warm = blp.warm
     res = warm.minimise()
     if res.status != exactlp.OPTIMAL or not res.value <= u:
         raise PreconditionViolated("select_star_point requires blp value <= u")

@@ -64,7 +64,7 @@ class BlockPartition:
         return tuple(len(b) for b in self.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromiseFpol:
     """A pair (input projection weights, output operation measure)."""
 

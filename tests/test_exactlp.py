@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -155,6 +158,26 @@ def assert_interior(prog, point, flags):
     assert [x > 0 for x in point] == flags and all(x >= 0 for x in point)
 
 
+def assert_warm_matches_vertices(prog, vertices):
+    """The optimum, the region's support and the optimal face's support of
+    a bounded, nonempty region, against its enumerated vertices."""
+    warm = WarmLP(prog)
+    res = warm.minimise()
+    cost = [sum((c * x for c, x in zip(prog.objective, v)), Z) for v in vertices]
+    assert res.status == OPTIMAL and res.value == min(cost)
+    assert res.point in vertices
+    point, flags = warm.interior_point()
+    assert flags == support_union(vertices, prog.n)
+    assert_interior(prog, point, flags)
+    best = [v for v, c in zip(vertices, cost) if c == min(cost)]
+    face_point, face_flags = warm.face_interior_point()
+    assert face_flags == support_union(best, prog.n)
+    assert_interior(prog, face_point, face_flags)
+    assert sum((c * x for c, x in zip(prog.objective, face_point)), Z) == res.value
+    # the face straight after phase 1, without the earlier rounds
+    assert WarmLP(prog).face_interior_point()[1] == face_flags
+
+
 def test_warm_rounds_match_vertex_enumeration():
     # a bounded region is the hull of its vertices, so its support is the
     # union of theirs, and its optimal face's support the union of the
@@ -167,19 +190,7 @@ def test_warm_rounds_match_vertex_enumeration():
         if not vertices:
             continue
         checked += 1
-        warm = WarmLP(prog)
-        res = warm.minimise()
-        point, flags = warm.interior_point()
-        assert flags == support_union(vertices, prog.n)
-        assert_interior(prog, point, flags)
-        cost = [sum((c * x for c, x in zip(prog.objective, v)), Z) for v in vertices]
-        best = [v for v, c in zip(vertices, cost) if c == min(cost)]
-        face_point, face_flags = warm.face_interior_point()
-        assert face_flags == support_union(best, prog.n)
-        assert_interior(prog, face_point, face_flags)
-        assert sum((c * x for c, x in zip(prog.objective, face_point)), Z) == res.value
-        # the face straight after phase 1, without the earlier rounds
-        assert WarmLP(prog).face_interior_point()[1] == face_flags
+        assert_warm_matches_vertices(prog, vertices)
     assert checked >= 100
 
 
@@ -237,3 +248,76 @@ def test_against_vertex_enumeration():
                 assert sum((a * x for a, x in zip(row, res.point)), Z) == b
         elif res.status == INFEASIBLE:
             assert enumerate_vertices(prog) == []
+
+
+def rational_lp(rng):
+    """bounded_lp with rational data: each row has its own denominators, so
+    the tableau scales each row by a different lcm; some rows have negative
+    right-hand sides (flipped before phase 1) and some are 0 (degenerate)."""
+    n = rng.randint(2, 5)
+
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice([1, 2, 3, 4, 5, 6, 7]))
+
+    rows = [[q(1, 5) for _ in range(n)]]
+    rhs = [q(1, 6)]
+    for _ in range(rng.randint(1, 2)):
+        rows.append([q(-4, 4) for _ in range(n)])
+        rhs.append(rng.choice([Z, q(-3, -1), q(1, 3)]))
+    if rng.random() < 0.5:
+        # redundant: a negative rational multiple of the sum of two rows
+        k = F(-rng.randint(1, 3), rng.choice([2, 3, 5]))
+        rows.append([k * (a + b) for a, b in zip(rows[0], rows[-1])])
+        rhs.append(k * (rhs[0] + rhs[-1]))
+    return LinearProgram(n, rows, rhs, [q(-3, 3) for _ in range(n)])
+
+
+def test_rational_rows_match_vertex_enumeration():
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(200):
+        prog = rational_lp(rng)
+        vertices = enumerate_vertices(prog)
+        if not vertices:
+            assert solve_lp(prog).status == INFEASIBLE
+            continue
+        checked += 1
+        assert_warm_matches_vertices(prog, vertices)
+    assert checked >= 60
+
+
+def test_rational_unbounded_ray():
+    # x1/2 - 2 x2/3 = -1/3 minimising -x1: the ray (1, 3/4) keeps the row
+    prog = LinearProgram(2, [[F(1, 2), F(-2, 3)]], [F(-1, 3)], [F(-1), Z])
+    res = solve_lp(prog)
+    assert res.status == UNBOUNDED
+    assert res.ray == [F(1), F(3, 4)]
+    assert res.point[0] / 2 - res.point[1] * 2 / 3 == F(-1, 3)
+
+
+def test_basic_solutions_checked_in_ints_under_optimise_flag():
+    # a tableau entry corrupted after phase 1 must not reach a caller, even
+    # with asserts off
+    script = """
+from fractions import Fraction as F
+from pvcsp.exactlp import LinearProgram, WarmLP
+from pvcsp.errors import InvariantViolated
+if __debug__:
+    raise SystemExit("asserts are still on")
+prog = LinearProgram(2, [[F(1, 2), F(1, 3)]], [F(1)], [F(1), F(1)])
+for corrupt in ("rhs", "ray"):
+    warm = WarmLP(prog)
+    tab = warm.tab
+    tab.rows[0][-1 if corrupt == "rhs" else 1] += 1
+    try:
+        tab.solution() if corrupt == "rhs" else tab.ray(1)
+    except InvariantViolated as exc:
+        print("caught:", exc)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout
+    assert out.splitlines() == ["caught: basic solution violates an input row"] * 2
