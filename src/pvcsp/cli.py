@@ -12,6 +12,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import formats, generators, relax, theory
 from .core import (
@@ -20,6 +21,7 @@ from .core import (
     PromiseTemplate,
     ValuedStructure,
     pvcsp_oracle,
+    NO,
     YES,
 )
 from .errors import FormatError, InvariantViolated, PvcspError, ResourceGuard
@@ -70,6 +72,10 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _format_optional(value) -> Optional[str]:
+    return None if value is None else format_value(value)
+
+
 def cmd_solve(args) -> int:
     delta = _load_structure(args.structure)
     instance = _load_instance(args.instance)
@@ -80,8 +86,12 @@ def cmd_solve(args) -> int:
     elif args.algorithm == "aip":
         aip = relax.build_aip(delta, instance)
         value = relax.aip_value(aip)
-        verdict = YES if value <= instance.threshold else "no"
-        answer = relax.SolveAnswer(verdict, value)
+        answer = relax.SolveAnswer(
+            YES if value <= instance.threshold else NO,
+            None,
+            aff_value=value,
+            program_size=(len(aip.objective), len(aip.rows)),
+        )
     elif args.algorithm == "oracle":
         gamma = _load_structure(args.gamma) if args.gamma else delta
         cls = pvcsp_oracle(PromiseTemplate(delta, gamma), instance)
@@ -93,13 +103,9 @@ def cmd_solve(args) -> int:
         args,
         {
             "verdict": answer.verdict,
-            "blp_value": format_value(answer.blp_value),
+            "blp_value": _format_optional(answer.blp_value),
             "star": answer.star_provenance,
-            "aff_value": (
-                format_value(answer.aff_value)
-                if answer.aff_value is not None
-                else None
-            ),
+            "aff_value": _format_optional(answer.aff_value),
         },
         answer.trace(),
     )

@@ -1,13 +1,14 @@
 """Exact rational LP in standard equality form (min c.x, Ax = b, x >= 0).
 
-Two-phase simplex with Bland's anti-cycling rule.  Inputs and outputs are
-Fractions; the tableau is integer-preserving (Python ints over one
-denominator per row, fraction-free Bareiss pivots) and keeps its
-reduced-cost row up to date, so pricing is a scan of that row.  Also
-provides the relative-interior machinery: a support profile (which
-coordinates can be positive over the feasible region or over its optimal
-face) and a relative interior point, the average of the witnesses found by
-warm support rounds on the one tableau that phase 1 built.
+Two-phase simplex with Bland's anti-cycling rule.  Input entries are ints
+or Fractions, exact either way; outputs are Fractions.  The tableau is
+integer-preserving (Python ints over one denominator per row,
+fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
+so pricing is a scan of that row.  Also provides the relative-interior
+machinery: a support profile (which coordinates can be positive over the
+feasible region or over its optimal face) and a relative interior point,
+the average of the witnesses found by warm support rounds on the one
+tableau that phase 1 built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import (
     DimensionMismatch,
@@ -28,12 +29,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+Rational = Union[int, Fraction]
+
+
 @dataclass
 class LinearProgram:
     n: int
-    rows: list[list[Fraction]]
-    rhs: list[Fraction]
-    objective: list[Fraction]
+    rows: list[list[Rational]]  # int or Fraction entries
+    rhs: list[Rational]
+    objective: list[Rational]
 
     def __post_init__(self):
         if len(self.objective) != self.n:
@@ -44,7 +48,7 @@ class LinearProgram:
             if len(row) != self.n:
                 raise DimensionMismatch("row length != n")
 
-    def with_extra_row(self, row: list[Fraction], b: Fraction) -> "LinearProgram":
+    def with_extra_row(self, row: list[Rational], b: Rational) -> "LinearProgram":
         return LinearProgram(
             self.n,
             [r[:] for r in self.rows] + [row[:]],

@@ -7,11 +7,12 @@ unbounded below, so a program value is always one of {+inf, finite, -inf}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolated
 from .values import MINUS_INF, PLUS_INF, ExtVal
 
 IntMatrix = list[list[int]]
@@ -34,62 +35,81 @@ def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _swap_cols(M: IntMatrix, a: int, b: int) -> None:
-    for row in M:
-        row[a], row[b] = row[b], row[a]
+# a sparse column: row -> nonzero int; rows 0..m-1 are H, m..m+n-1 are U
+Column = dict[int, int]
 
 
-def _addmul_col(M: IntMatrix, dst: int, src: int, k: int) -> None:
-    for row in M:
-        row[dst] += k * row[src]
+def _addmul(dst: Column, src: Column, k: int) -> None:
+    """dst += k * src, dropping entries that cancel to zero."""
+    for i, v in src.items():
+        w = dst.get(i, 0) + k * v
+        if w:
+            dst[i] = w
+        else:
+            del dst[i]
 
 
-def _negate_col(M: IntMatrix, c: int) -> None:
-    for row in M:
-        row[c] = -row[c]
+def _echelon(A: IntMatrix) -> tuple[list[Column], list[tuple[int, int]]]:
+    """Column echelon form of A with its unimodular transform.
+
+    Returns the columns of [H; U], A*U = H, each a dict over the nonzero
+    rows, and the pivots (row, column) in order: pivot k sits in column k,
+    is positive, and every column after it is zero in its row and above.
+    Entries left of a pivot are not reduced (hermite_normal_form does
+    that).  Each row is gcd-reduced over the columns not yet pivoted,
+    smallest absolute entry first, so the work follows the nonzeros.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    cols: list[Column] = [{m + j: 1} for j in range(n)]
+    for r, row in enumerate(A):
+        for j, a in enumerate(row):
+            if a:
+                cols[j][r] = a
+    pivots: list[tuple[int, int]] = []
+    c = 0
+    for r in range(m):
+        if c >= n:
+            break
+        while True:
+            nonzero = [j for j in range(c, n) if r in cols[j]]
+            if not nonzero:
+                break
+            j = min(nonzero, key=lambda k: abs(cols[k][r]))
+            cols[c], cols[j] = cols[j], cols[c]
+            pivot = cols[c]
+            done = True
+            # after the swap, only these positions can be nonzero in row r
+            for k in nonzero:
+                if k != c and r in cols[k]:
+                    _addmul(cols[k], pivot, -(cols[k][r] // pivot[r]))
+                    if r in cols[k]:
+                        done = False
+            if done:
+                break
+        if r in cols[c]:
+            if cols[c][r] < 0:
+                cols[c] = {i: -v for i, v in cols[c].items()}
+            pivots.append((r, c))
+            c += 1
+    return cols, pivots
 
 
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column HNF: returns (H, U) with A*U = H, U unimodular, H in
     lower-triangular profile with positive pivots and reduced off-profile
-    entries."""
+    entries: the echelon form, then one reduction pass down the pivots."""
     m = len(A)
     n = len(A[0]) if m else 0
-    H = [list(row) for row in A]
-    U = _identity(n)
-    c = 0
-    for r in range(m):
-        if c >= n:
-            break
-        # gcd-reduce columns c..n-1 against each other on row r
-        while True:
-            nonzero = [j for j in range(c, n) if H[r][j] != 0]
-            if not nonzero:
-                break
-            j = min(nonzero, key=lambda k: abs(H[r][k]))
-            if j != c:
-                _swap_cols(H, c, j)
-                _swap_cols(U, c, j)
-            done = True
-            for k in range(c + 1, n):
-                if H[r][k] != 0:
-                    q = H[r][k] // H[r][c]
-                    _addmul_col(H, k, c, -q)
-                    _addmul_col(U, k, c, -q)
-                    if H[r][k] != 0:
-                        done = False
-            if done:
-                break
-        if H[r][c] != 0:
-            if H[r][c] < 0:
-                _negate_col(H, c)
-                _negate_col(U, c)
-            for k in range(c):
-                q = H[r][k] // H[r][c]
-                if q != 0:
-                    _addmul_col(H, k, c, -q)
-                    _addmul_col(U, k, c, -q)
-            c += 1
+    cols, pivots = _echelon(A)
+    for r, c in pivots:
+        p = cols[c][r]
+        for k in range(c):
+            q = cols[k].get(r, 0) // p
+            if q:
+                _addmul(cols[k], cols[c], -q)
+    H = [[col.get(r, 0) for col in cols] for r in range(m)]
+    U = [[col.get(m + i, 0) for col in cols] for i in range(n)]
     return H, U
 
 
@@ -99,8 +119,10 @@ def solve_integer_system(
     """All integer solutions of Ax = b, or INFEASIBLE.
 
     ncols disambiguates the dimension when A has no rows.  The particular
-    solution comes from forward substitution on the HNF; the kernel basis is
-    the trailing unimodular columns past the rank profile.
+    solution comes from forward substitution on the echelon form; the
+    kernel basis is the unimodular columns past the rank profile.  The
+    HNF's reduction pass only adds pivot columns to earlier pivot columns,
+    so it would change neither the kernel columns nor U y, and is skipped.
     """
     m = len(A)
     n = len(A[0]) if m else (ncols or 0)
@@ -117,40 +139,49 @@ def solve_integer_system(
         if any(v != 0 for v in b):
             return INFEASIBLE
         return AffineLattice([], [], 0)
-    H, U = hermite_normal_form(A)
-    y = [0] * n
-    c = 0
+    cols, pivots = _echelon(A)
+    # H y = b row by row: a pivot row fixes y_c, every other row must
+    # already hold; x0 = U y accumulates alongside
+    residual = list(b)
+    x0 = [0] * n
+    pivot_of = dict(pivots)
     for r in range(m):
-        if c < n and H[r][c] != 0:
-            residual = b[r] - sum(H[r][j] * y[j] for j in range(c))
-            if residual % H[r][c] != 0:
+        c = pivot_of.get(r)
+        if c is None:
+            if residual[r] != 0:
                 return INFEASIBLE
-            y[c] = residual // H[r][c]
-            c += 1
-        else:
-            residual = b[r] - sum(H[r][j] * y[j] for j in range(c))
-            if residual != 0:
-                return INFEASIBLE
-    rank = c
-    x0 = [sum(U[i][j] * y[j] for j in range(rank)) for i in range(n)]
-    kernel = [[U[i][j] for i in range(n)] for j in range(rank, n)]
-    return AffineLattice(x0, kernel, n)
+            continue
+        y, rem = divmod(residual[r], cols[c][r])
+        if rem:
+            return INFEASIBLE
+        if y:
+            for i, v in cols[c].items():
+                if i < m:
+                    residual[i] -= y * v
+                else:
+                    x0[i - m] += y * v
+    kernel = cols[len(pivots):]
+    if any(i < m for col in kernel for i in col):
+        raise InvariantViolated("kernel column has a nonzero in H")
+    basis = [[col.get(m + i, 0) for i in range(n)] for col in kernel]
+    return AffineLattice(x0, basis, n)
 
 
 def evaluate_affine_min(
     c: Sequence[Fraction], lattice: Union[AffineLattice, str]
 ) -> ExtVal:
-    """Value of min c.x over the lattice: +inf, -inf, or the constant."""
+    """Value of min c.x over the lattice: +inf, -inf, or the constant.
+
+    Exact, in ints: c is scaled once by the lcm of its denominators."""
     if lattice == INFEASIBLE:
         return PLUS_INF
     if len(c) != lattice.dimension:
         raise DimensionMismatch("objective length != lattice dimension")
+    den = math.lcm(*(ci.denominator for ci in c))
+    terms = [
+        (i, ci.numerator * (den // ci.denominator)) for i, ci in enumerate(c) if ci
+    ]
     for v in lattice.kernel_basis:
-        if sum((ci * vi for ci, vi in zip(c, v)), Fraction(0)) != 0:
+        if sum(ci * v[i] for i, ci in terms) != 0:
             return MINUS_INF
-    return sum((ci * xi for ci, xi in zip(c, lattice.x0)), Fraction(0))
-
-
-def check_threshold(value: ExtVal, u: Fraction) -> bool:
-    """value <= u in the extended order."""
-    return value <= u
+    return Fraction(sum(ci * lattice.x0[i] for i, ci in terms), den)

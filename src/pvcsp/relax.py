@@ -26,11 +26,10 @@ from .errors import (
     SamplerSignatureMismatch,
     PvcspError,
 )
-from .exactlp import LinearProgram
+from .exactlp import LinearProgram, Rational
 from .values import MINUS_INF, PLUS_INF, ExtVal, format_value, is_finite
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # column keys: ("lam", term index, tuple) and ("mu", variable, label)
 ColKey = tuple
@@ -69,41 +68,43 @@ def _constraint_rows(
     delta: ValuedStructure, instance: Instance, index: ProgramIndex
 ):
     """The Figure-style constraint families over the kept columns:
-    marginal equalities (= 0) and per-variable normalisations (= 1)."""
+    marginal equalities (= 0) and per-variable normalisations (= 1).
+    Every entry is 0, 1 or -1, so the rows are Python ints, exact for the
+    LP and already integral for the AIP."""
     n = len(index.columns)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for j, term in enumerate(instance.terms):
         arity = delta.signature.arity(term.symbol)
         for ell in range(arity):
             x = term.args[ell]
             for a in delta.domain:
-                row = [ZERO] * n
+                row = [0] * n
                 touched = False
                 for t in itertools.product(delta.domain, repeat=arity):
                     if t[ell] != a:
                         continue
                     pos = index.position.get(("lam", j, t))
                     if pos is not None:
-                        row[pos] += ONE
+                        row[pos] += 1
                         touched = True
                 mu_pos = index.position.get(("mu", x, a))
                 if mu_pos is not None:
-                    row[mu_pos] -= ONE
+                    row[mu_pos] -= 1
                     touched = True
                 if touched:
                     rows.append(row)
-                    rhs.append(ZERO)
+                    rhs.append(0)
     for x in instance.variables:
         # if every marginal of x is eliminated, the all-zero row reads 0 = 1
         # and correctly renders the program infeasible
-        row = [ZERO] * n
+        row = [0] * n
         for a in delta.domain:
             pos = index.position.get(("mu", x, a))
             if pos is not None:
-                row[pos] += ONE
+                row[pos] += 1
         rows.append(row)
-        rhs.append(ONE)
+        rhs.append(1)
     return rows, rhs
 
 
@@ -178,9 +179,8 @@ def build_aip(delta: ValuedStructure, instance: Instance) -> AipProgram:
 
 def _aip_of(blp: BlpProgram) -> AipProgram:
     """The AIP with the BLP's constraints, objective and columns."""
-    rows = [[int(a) for a in row] for row in blp.lp.rows]
-    rhs = [int(b) for b in blp.lp.rhs]
-    return AipProgram(rows, rhs, blp.lp.objective, blp.index)
+    rows = [list(row) for row in blp.lp.rows]
+    return AipProgram(rows, list(blp.lp.rhs), blp.lp.objective, blp.index)
 
 
 def blp_value(blp: BlpProgram) -> ExtVal:
@@ -212,7 +212,7 @@ class StarPoint:
         return self.values[pos] if pos is not None else ZERO
 
 
-def _int_row(row: list[Fraction], b: Fraction) -> tuple[list[tuple[int, int]], int]:
+def _int_row(row: list[Rational], b: Rational) -> tuple[list[tuple[int, int]], int]:
     """row . x = b scaled to ints by the lcm of its denominators: the
     nonzero (column, coefficient) pairs and the rhs."""
     s = math.lcm(b.denominator, *(a.denominator for a in row))
@@ -300,22 +300,24 @@ def refine_aip(aip: AipProgram, star: StarPoint) -> AipProgram:
 @dataclass
 class SolveAnswer:
     verdict: str  # core.YES / core.NO
-    blp_value: ExtVal
+    blp_value: Optional[ExtVal]  # None when no BLP was solved
     star_provenance: Optional[str] = None
     aff_value: Optional[ExtVal] = None
     eliminated: list = field(default_factory=list)
     program_size: tuple[int, int] = (0, 0)
 
     def trace(self) -> str:
-        lines = [
-            f"verdict: {self.verdict}",
-            f"blp value: {format_value(self.blp_value)}",
-            f"columns: {self.program_size[0]}, rows: {self.program_size[1]}",
-        ]
+        lines = [f"verdict: {self.verdict}"]
+        if self.blp_value is not None:
+            lines.append(f"blp value: {format_value(self.blp_value)}")
+        lines.append(
+            f"columns: {self.program_size[0]}, rows: {self.program_size[1]}"
+        )
         if self.star_provenance is not None:
             lines.append(f"star point: {self.star_provenance}")
         if self.aff_value is not None:
-            lines.append(f"refined aff value: {format_value(self.aff_value)}")
+            refined = "refined " if self.star_provenance is not None else ""
+            lines.append(f"{refined}aff value: {format_value(self.aff_value)}")
         if self.eliminated:
             lines.append(f"eliminated columns: {len(self.eliminated)}")
         return "\n".join(lines)
@@ -334,7 +336,7 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     star = select_star_point(blp, u)
     refined = refine_aip(_aip_of(blp), star)
     aff = aip_value(refined)
-    verdict = YES if lattice.check_threshold(aff, u) else NO
+    verdict = YES if aff <= u else NO
     return SolveAnswer(
         verdict,
         value,

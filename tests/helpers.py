@@ -116,3 +116,96 @@ def box_objective_range(A, b, c_num, c_den, bound):
         return None
     vals = sols @ np.array(c_num, dtype=np.int64)
     return Fraction(int(vals.min()), c_den), Fraction(int(vals.max()), c_den)
+
+
+def dense_hermite_normal_form(A):
+    """Reference column HNF on dense lists: (H, U) with A*U = H.
+
+    Each row is gcd-reduced over the columns not yet pivoted (smallest
+    absolute entry first), the pivot made positive, and the entries left
+    of it reduced into [0, pivot) at once; every column operation walks
+    every row of H and U.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    H = [list(row) for row in A]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap(a, b):
+        for M in (H, U):
+            for row in M:
+                row[a], row[b] = row[b], row[a]
+
+    def addmul(dst, src, k):
+        for M in (H, U):
+            for row in M:
+                row[dst] += k * row[src]
+
+    c = 0
+    for r in range(m):
+        if c >= n:
+            break
+        while True:
+            nonzero = [j for j in range(c, n) if H[r][j] != 0]
+            if not nonzero:
+                break
+            j = min(nonzero, key=lambda k: abs(H[r][k]))
+            if j != c:
+                swap(c, j)
+            done = True
+            for k in range(c + 1, n):
+                if H[r][k] != 0:
+                    addmul(k, c, -(H[r][k] // H[r][c]))
+                    if H[r][k] != 0:
+                        done = False
+            if done:
+                break
+        if H[r][c] != 0:
+            if H[r][c] < 0:
+                addmul(c, c, -2)  # negates column c
+            for k in range(c):
+                q = H[r][k] // H[r][c]
+                if q != 0:
+                    addmul(k, c, -q)
+            c += 1
+    return H, U
+
+
+def dense_solve_integer_system(A, b):
+    """Reference integer solution set of Ax = b (A with at least one row
+    and one column): (x0, kernel basis) by forward substitution on the
+    dense HNF, or None when there is no integer solution."""
+    m, n = len(A), len(A[0])
+    H, U = dense_hermite_normal_form(A)
+    y = [0] * n
+    c = 0
+    for r in range(m):
+        residual = b[r] - sum(H[r][j] * y[j] for j in range(c))
+        if c < n and H[r][c] != 0:
+            if residual % H[r][c] != 0:
+                return None
+            y[c] = residual // H[r][c]
+            c += 1
+        elif residual != 0:
+            return None
+    x0 = [sum(U[i][j] * y[j] for j in range(c)) for i in range(n)]
+    kernel = [[U[i][j] for i in range(n)] for j in range(c, n)]
+    return x0, kernel
+
+
+def gf2_satisfiable(equations):
+    """Whether parity equations (variable bitmask, parity) over GF(2) have
+    a common solution, by Gaussian elimination on bitmasks."""
+    basis = {}  # leading bit -> (mask, parity)
+    for mask, parity in equations:
+        while mask:
+            lead = mask.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = (mask, parity)
+                break
+            bmask, bparity = basis[lead]
+            mask, parity = mask ^ bmask, parity ^ bparity
+        else:
+            if parity:
+                return False
+    return True

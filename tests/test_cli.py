@@ -64,6 +64,19 @@ def test_solve_json_payload(files, capsys):
     assert payload["verdict"] == "yes" and payload["blp_value"] == "0"
 
 
+def test_solve_aip_reports_aff_value(files, capsys):
+    _, s, sat, cyc = files
+    argv = ["solve", "--structure", s, "--algorithm", "aip", "--json"]
+    assert main(argv + ["--instance", sat]) == EXIT_YES
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "yes"
+    assert payload["aff_value"] == "0" and payload["blp_value"] is None
+    assert main(argv[:-1] + ["--instance", cyc]) == EXIT_NO
+    text = capsys.readouterr().out
+    assert "verdict: no" in text and "aff value: inf" in text
+    assert "blp value" not in text
+
+
 def test_solve_missing_file_is_error(files, capsys):
     _, s, _, _ = files
     assert main(["solve", "--structure", s, "--instance", "/nope"]) == EXIT_ERROR

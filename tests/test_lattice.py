@@ -1,20 +1,31 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import box_min_objective, box_solutions
+from helpers import (
+    box_min_objective,
+    box_solutions,
+    dense_hermite_normal_form,
+    dense_solve_integer_system,
+    gf2_satisfiable,
+)
+from pvcsp import generators
+from pvcsp.core import Instance, Term
 from pvcsp.errors import DimensionMismatch
 from pvcsp.lattice import (
     AffineLattice,
     INFEASIBLE,
-    check_threshold,
     evaluate_affine_min,
     hermite_normal_form,
     solve_integer_system,
 )
-from pvcsp.values import MINUS_INF, PLUS_INF
+from pvcsp.relax import aip_value, build_aip
+from pvcsp.values import MINUS_INF, PLUS_INF, is_finite
 
 
 def matmul(A, B):
@@ -25,15 +36,22 @@ def matmul(A, B):
 
 
 def det(M):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    M = [[F(a) for a in row] for row in M]
     n = len(M)
-    if n == 0:
-        return 1
-    if n == 1:
-        return M[0][0]
-    return sum(
-        (-1) ** j * M[0][j] * det([row[:j] + row[j + 1 :] for row in M[1:]])
-        for j in range(n)
-    )
+    result = F(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            result = -result
+        result *= M[c][c]
+        for r in range(c + 1, n):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return result
 
 
 def test_hnf_single_row_gcd():
@@ -53,21 +71,35 @@ def test_hnf_negative_pivot_flipped():
     assert H == [[3]]
 
 
+def assert_hnf_shape(H, n):
+    """Column HNF shape.  The pivot of column c is its first nonzero; the
+    pivots move strictly down and right, are positive, have zeros right of
+    them and entries in [0, pivot) left of them; the columns past the last
+    pivot are zero."""
+    prev = -1
+    for c in range(n):
+        rows = [r for r, row in enumerate(H) if row[c] != 0]
+        if not rows:
+            assert all(row[k] == 0 for row in H for k in range(c, n))
+            return
+        r = rows[0]
+        assert r > prev
+        assert H[r][c] > 0
+        assert all(H[r][k] == 0 for k in range(c + 1, n))
+        assert all(0 <= H[r][k] < H[r][c] for k in range(c))
+        prev = r
+
+
 def test_hnf_invariants_random():
     rng = random.Random(7)
     for _ in range(80):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
         A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         H, U = hermite_normal_form(A)
         assert matmul(A, U) == H
         assert abs(det(U)) == 1
-        # lower triangular with nonnegative pivots
-        seen = -1
-        for r in range(m):
-            nz = [j for j in range(n) if H[r][j] != 0]
-            if nz:
-                assert min(nz) > seen or H[r][min(nz)] > 0
+        assert_hnf_shape(H, n)
 
 
 def test_solve_no_solution_parity():
@@ -118,9 +150,9 @@ def test_eval_point_lattice():
 
 
 def test_check_threshold_extended():
-    assert check_threshold(F(1, 2), F(1))
-    assert not check_threshold(PLUS_INF, F(10))
-    assert check_threshold(MINUS_INF, F(-10))
+    assert F(1, 2) <= F(1)
+    assert not PLUS_INF <= F(10)
+    assert MINUS_INF <= F(-10)
 
 
 def classify_by_box(A, b, c):
@@ -177,3 +209,95 @@ def test_kernel_vectors_annihilated_random():
             assert sum(a * x for a, x in zip(row, lat.x0)) == rb
             for v in lat.kernel_basis:
                 assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+XOR = generators.xor_structure()
+
+
+def xor_instance(rng, n, planted):
+    """n random parity equations of arity 2 or 3 over n variables, all
+    true of a hidden assignment when planted: the instance and its
+    equations as (variable bitmask, parity)."""
+    variables = tuple(f"x{i}" for i in range(n))
+    hidden = [rng.randint(0, 1) for _ in variables]
+    terms, equations = [], []
+    for _ in range(n):
+        idx = rng.sample(range(n), rng.choice((2, 3)))
+        parity = sum(hidden[i] for i in idx) % 2 if planted else rng.randint(0, 1)
+        symbol = f"xor{parity}" + ("_3" if len(idx) == 3 else "")
+        terms.append(Term(symbol, tuple(variables[i] for i in idx)))
+        equations.append((sum(1 << i for i in idx), parity))
+    return Instance(variables, tuple(terms), F(0)), equations
+
+
+def test_echelon_matches_dense_reference():
+    rng = random.Random(17)
+    systems = []
+    for _ in range(270):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        k = rng.choice((1, 3, 9))
+        density = rng.choice((0.3, 0.6, 1.0))
+        A = [
+            [rng.randint(-k, k) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        systems.append((A, [rng.randint(-6, 6) for _ in range(m)]))
+    for k in range(30):
+        aip = build_aip(XOR, xor_instance(rng, 20 + 20 * k // 29, k % 2 == 0)[0])
+        systems.append((aip.rows, aip.rhs))
+    infeasible = 0
+    for A, b in systems:
+        assert hermite_normal_form(A) == dense_hermite_normal_form(A)
+        lat = solve_integer_system(A, b)
+        ref = dense_solve_integer_system(A, b)
+        if ref is None:
+            assert lat == INFEASIBLE
+            infeasible += 1
+            continue
+        assert (lat.x0, lat.kernel_basis) == ref
+        for row, rb in zip(A, b):
+            assert sum(a * x for a, x in zip(row, lat.x0)) == rb
+            for v in lat.kernel_basis:
+                assert sum(a * x for a, x in zip(row, v)) == 0
+    assert 0 < infeasible < len(systems)
+
+
+def test_xor_aip_finite_iff_parity_satisfiable():
+    rng = random.Random(19)
+    outcomes = set()
+    for k in range(40):
+        instance, equations = xor_instance(rng, rng.randint(20, 40), k % 2 == 0)
+        value = aip_value(build_aip(XOR, instance))
+        satisfiable = gf2_satisfiable(equations)
+        assert is_finite(value) == satisfiable
+        assert value == 0 if satisfiable else value is PLUS_INF
+        outcomes.add(satisfiable)
+    assert outcomes == {True, False}
+
+
+def test_kernel_column_check_survives_optimise_flag():
+    # a kernel column left with a nonzero in H must not reach a caller,
+    # even with asserts off
+    script = """
+from pvcsp import lattice
+from pvcsp.errors import InvariantViolated
+if __debug__:
+    raise SystemExit("asserts are still on")
+echelon = lattice._echelon
+def corrupted(A):
+    cols, pivots = echelon(A)
+    cols[-1][0] = 1
+    return cols, pivots
+lattice._echelon = corrupted
+try:
+    lattice.solve_integer_system([[1, 1]], [1])
+except InvariantViolated as exc:
+    print("caught:", exc)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout
+    assert out.splitlines() == ["caught: kernel column has a nonzero in H"]
