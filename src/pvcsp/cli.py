@@ -7,11 +7,11 @@ resource error, 3 = internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import formats, generators, relax, theory
@@ -21,10 +21,9 @@ from .core import (
     PromiseTemplate,
     ValuedStructure,
     pvcsp_oracle,
-    NO,
     YES,
 )
-from .errors import FormatError, InvariantViolated, PvcspError, ResourceGuard
+from .errors import FormatError, InvariantViolated, PvcspError
 from .theory import BlockPartition, PromiseFpol
 from .values import format_value
 
@@ -32,13 +31,6 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_INTERNAL = 3
-
-
-def _cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("PVCSP_CAP")
-    return int(env) if env else theory.DEFAULT_CAP
 
 
 def _read(path: str) -> str:
@@ -79,26 +71,12 @@ def _format_optional(value) -> Optional[str]:
 def cmd_solve(args) -> int:
     delta = _load_structure(args.structure)
     instance = _load_instance(args.instance)
-    if args.algorithm == "combined":
-        answer = relax.combined_solve(delta, instance)
-    elif args.algorithm == "blp":
-        answer = relax.blp_only_solve(delta, instance)
-    elif args.algorithm == "aip":
-        aip = relax.build_aip(delta, instance)
-        value = relax.aip_value(aip)
-        answer = relax.SolveAnswer(
-            YES if value <= instance.threshold else NO,
-            None,
-            aff_value=value,
-            program_size=(len(aip.objective), len(aip.rows)),
-        )
-    elif args.algorithm == "oracle":
+    if args.algorithm == "oracle":
         gamma = _load_structure(args.gamma) if args.gamma else delta
         cls = pvcsp_oracle(PromiseTemplate(delta, gamma), instance)
         print(cls)
         return EXIT_YES if cls in (YES, GAP) else EXIT_NO
-    else:
-        raise FormatError(f"unknown algorithm {args.algorithm!r}")
+    answer = relax.ENGINES[args.algorithm](delta, instance)
     _emit(
         args,
         {
@@ -118,7 +96,7 @@ def cmd_check(args) -> int:
     gamma = _load_structure(args.gamma) if args.gamma else delta
     if isinstance(measure, PromiseFpol):
         ok, violator = theory.check_promise_fpol(
-            measure, PromiseTemplate(delta, gamma), cap=_cap(args)
+            measure, PromiseTemplate(delta, gamma), cap=args.cap
         )
     else:
         ok, violator = theory.check_fractional_homomorphism(
@@ -138,7 +116,7 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     delta = _load_structure(args.structure)
     partition = _parse_partition(args.partition)
-    built = theory.block_multiset_structure(delta, partition, cap=_cap(args))
+    built = theory.block_multiset_structure(delta, partition, cap=args.cap)
     text = formats.print_structure(built)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -171,9 +149,12 @@ def _family_bounds(family: str) -> tuple[int, int]:
 def cmd_compare(args) -> int:
     rng = random.Random(args.seed)
     engines = args.engines.split(",")
-    unknown = [e for e in engines if e not in ("blp", "combined")]
+    unknown = [e for e in engines if e not in relax.ENGINES]
     if unknown:
-        raise FormatError(f"unknown engine {unknown[0]!r}; valid engines: blp, combined")
+        raise FormatError(
+            f"unknown engine {unknown[0]!r}; valid engines: "
+            + ", ".join(sorted(relax.ENGINES))
+        )
     records = []
     flagged = 0
     max_vars, max_terms = _family_bounds(args.family)
@@ -185,10 +166,7 @@ def cmd_compare(args) -> int:
         verdicts = {}
         agree = True
         for engine in engines:
-            solver = (
-                relax.combined_solve if engine == "combined" else relax.blp_only_solve
-            )
-            verdict = solver(delta, instance).verdict
+            verdict = relax.ENGINES[engine](delta, instance).verdict
             verdicts[engine] = verdict
             if oracle_class != GAP and verdict != oracle_class:
                 agree = False
@@ -240,6 +218,7 @@ def cmd_gen(args) -> int:
     return EXIT_YES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pvcsp",
@@ -254,10 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         default="combined",
-        choices=["combined", "blp", "aip", "oracle"],
+        choices=[*relax.ENGINES, "oracle"],
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check", help="verify a measure against structures")
@@ -265,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", required=True)
     p.add_argument("--gamma")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=theory.DEFAULT_CAP)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("construct", help="build a block-multiset structure")
     p.add_argument("--structure", required=True)
     p.add_argument("--partition", required=True, help="e.g. sizes:2,1")
     p.add_argument("--output")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=theory.DEFAULT_CAP)
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("compare", help="differential harness vs the oracle")
@@ -294,17 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, ResourceGuard, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except InvariantViolated as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except PvcspError as exc:
+    except (PvcspError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

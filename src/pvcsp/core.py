@@ -256,36 +256,22 @@ def tuple_to_multiset(t: Sequence[str], domain: Sequence[str]) -> tuple[str, ...
     return tuple(sorted(t, key=lambda a: order[a]))
 
 
-def validate_instance(
-    structure: ValuedStructure, instance: Instance
-) -> list[str]:
-    """Collect every well-formedness violation; empty list means ok."""
-    problems = []
+def check_instance(structure: ValuedStructure, instance: Instance) -> None:
+    """Raise on the first term with an unknown symbol, a wrong argument
+    count or an undeclared variable."""
     declared = set(instance.variables)
     for i, term in enumerate(instance.terms):
         if term.symbol not in structure.signature:
-            problems.append(f"term {i}: unknown symbol {term.symbol!r}")
-            continue
+            raise UnknownSymbol(f"term {i}: unknown symbol {term.symbol!r}")
         arity = structure.signature.arity(term.symbol)
         if len(term.args) != arity:
-            problems.append(
+            raise ArityMismatch(
                 f"term {i}: symbol {term.symbol!r} has arity {arity}, "
                 f"got {len(term.args)} arguments"
             )
         for v in term.args:
             if v not in declared:
-                problems.append(f"term {i}: undeclared variable {v!r}")
-    return problems
-
-
-def _check_instance(structure: ValuedStructure, instance: Instance) -> None:
-    for term in instance.terms:
-        if term.symbol not in structure.signature:
-            raise UnknownSymbol(f"unknown symbol {term.symbol!r}")
-        if len(term.args) != structure.signature.arity(term.symbol):
-            raise ArityMismatch(
-                f"term {term.symbol}{term.args} does not match signature arity"
-            )
+                raise UnassignedVariable(f"term {i}: undeclared variable {v!r}")
 
 
 def evaluate_cost(
@@ -294,15 +280,12 @@ def evaluate_cost(
     assignment: Mapping[str, str],
 ) -> ExtRat:
     """Exact cost of an assignment: the sum of the term table entries."""
-    _check_instance(structure, instance)
+    check_instance(structure, instance)
     for v in instance.variables:
         if v not in assignment:
             raise UnassignedVariable(f"variable {v!r} has no assigned value")
     total: ExtRat = Fraction(0)
     for term in instance.terms:
-        for v in term.args:
-            if v not in assignment:
-                raise UnassignedVariable(f"variable {v!r} has no assigned value")
         args = tuple(assignment[v] for v in term.args)
         total = total + structure.cost(term.symbol, args)
     return total
@@ -310,7 +293,7 @@ def evaluate_cost(
 
 def brute_force_min(structure: ValuedStructure, instance: Instance) -> ExtRat:
     """Exhaustive minimum of evaluate_cost over all assignments."""
-    _check_instance(structure, instance)
+    check_instance(structure, instance)
     best: ExtRat = PLUS_INF
     variables = instance.variables
     for labels in itertools.product(structure.domain, repeat=len(variables)):

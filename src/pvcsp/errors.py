@@ -45,10 +45,6 @@ class InvariantViolated(PvcspError):
     """An internal check failed: a bug in the solver, not in the input."""
 
 
-class SamplerSignatureMismatch(PvcspError):
-    pass
-
-
 class ResourceGuard(PvcspError):
     """Raised when an exhaustive enumeration would exceed the configured cap."""
 

@@ -30,6 +30,7 @@ Measure file (fractional homomorphism or polymorphism):
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -55,6 +56,22 @@ def _lines(text: str) -> list[list[str]]:
     return out
 
 
+def _arity(token: str) -> int:
+    try:
+        arity = int(token)
+    except ValueError:
+        raise FormatError(f"bad arity {token!r}") from None
+    if arity < 1:
+        raise FormatError(f"arity {arity} is below 1")
+    return arity
+
+
+def _one_value(tokens: list[str]) -> str:
+    if len(tokens) != 2:
+        raise FormatError(f"{tokens[0]} needs exactly one value")
+    return tokens[1]
+
+
 def parse_structure(text: str) -> ValuedStructure:
     domain: list[str] = []
     symbols: list[tuple[str, int]] = []
@@ -75,10 +92,7 @@ def parse_structure(text: str) -> ValuedStructure:
                     f"expected 'symbol NAME ARITY default VALUE': {tokens}"
                 )
             name = tokens[1]
-            try:
-                arity = int(tokens[2])
-            except ValueError as exc:
-                raise FormatError(f"bad arity {tokens[2]!r}") from exc
+            arity = _arity(tokens[2])
             try:
                 defaults[name] = parse_value(tokens[4])
             except ValueError as exc:
@@ -110,8 +124,6 @@ def parse_structure(text: str) -> ValuedStructure:
             raise FormatError(f"unrecognised line: {' '.join(tokens)}")
     if not domain:
         raise FormatError("structure file has no domain line")
-    import itertools
-
     for name, arity in symbols:
         default = defaults[name]
         for t in itertools.product(domain, repeat=arity):
@@ -132,8 +144,6 @@ def print_structure(structure: ValuedStructure) -> str:
             counts[format_value(v)] = counts.get(format_value(v), 0) + 1
         default = max(sorted(counts), key=lambda k: counts[k])
         lines.append(f"symbol {name} {arity} default {default}")
-        import itertools
-
         for t in itertools.product(structure.domain, repeat=arity):
             rendered = format_value(table[t])
             if rendered != default:
@@ -154,10 +164,8 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"term needs a symbol and arguments: {tokens}")
             terms.append(Term(tokens[1], tuple(tokens[2:])))
         elif head == "threshold":
-            if len(tokens) != 2:
-                raise FormatError("threshold needs exactly one value")
             try:
-                value = parse_value(tokens[1])
+                value = parse_value(_one_value(tokens))
             except ValueError as exc:
                 raise FormatError(str(exc)) from exc
             if value is PLUS_INF:
@@ -199,7 +207,7 @@ def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
                 raise FormatError("measure kind must be frachom or fpol")
             kind = tokens[1]
         elif head == "arity":
-            arity = int(tokens[1])
+            arity = _arity(_one_value(tokens))
         elif head == "in_domain":
             in_domain = tuple(tokens[1:])
         elif head == "out_domain":
@@ -211,7 +219,7 @@ def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
                 raise FormatError(str(exc)) from exc
         elif head == "map":
             try:
-                weight = Fraction(tokens[1])
+                weight = Fraction(_one_value(tokens))
             except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(str(exc)) from exc
             pairs.append(({}, weight))

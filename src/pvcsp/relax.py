@@ -1,5 +1,6 @@
 """The BLP and AIP relaxations of a VCSP instance, star-point selection,
-refinement, and the combined and BLP-only decision procedures.
+refinement, and the combined, BLP-only and AIP-only decision procedures
+(ENGINES, shared by the library and the CLI).
 
 Both programs share one column indexing (term tuples first, then variable
 marginals, each in deterministic order), so the star point computed on the
@@ -18,16 +19,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import exactlp, lattice
-from .core import Instance, ValuedStructure, validate_instance
-from .errors import (
-    IndexMisalignment,
-    InvariantViolated,
-    PreconditionViolated,
-    SamplerSignatureMismatch,
-    PvcspError,
-)
+from .core import NO, YES, Instance, ValuedStructure, check_instance
+from .errors import IndexMisalignment, InvariantViolated, PreconditionViolated
 from .exactlp import LinearProgram, Rational
-from .values import MINUS_INF, PLUS_INF, ExtVal, format_value, is_finite
+from .values import PLUS_INF, ExtVal, format_value, is_finite
 
 ZERO = Fraction(0)
 
@@ -144,19 +139,13 @@ class AipProgram:
     index: ProgramIndex
 
 
-def _validate(delta: ValuedStructure, instance: Instance) -> None:
-    problems = validate_instance(delta, instance)
-    if problems:
-        raise PvcspError("; ".join(problems))
-
-
 def build_blp(delta: ValuedStructure, instance: Instance) -> BlpProgram:
     """The basic LP relaxation; infeasibility encodes a +inf value.
 
     The upper bounds lambda, mu <= 1 are implied by nonnegativity plus the
     normalisation equalities and are not encoded.
     """
-    _validate(delta, instance)
+    check_instance(delta, instance)
     dom = {
         (j, t): True
         for j, term in enumerate(instance.terms)
@@ -325,8 +314,6 @@ class SolveAnswer:
 
 def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     """BLP gate, star point, refined AIP gate; YES only if both pass."""
-    from .core import NO, YES
-
     u = instance.threshold
     blp = build_blp(delta, instance)
     size = (len(blp.index.columns), len(blp.lp.rows))
@@ -349,8 +336,6 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
 
 def blp_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     """The BLP-only decision procedure: YES iff blp value <= u."""
-    from .core import NO, YES
-
     blp = build_blp(delta, instance)
     value = blp_value(blp)
     verdict = YES if value <= instance.threshold else NO
@@ -359,35 +344,23 @@ def blp_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     )
 
 
-COMBINED = "combined"
-BLP_ONLY = "blp"
+def aip_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
+    """The AIP-only decision procedure: YES iff aff value <= u."""
+    aip = build_aip(delta, instance)
+    value = aip_value(aip)
+    return SolveAnswer(
+        YES if value <= instance.threshold else NO,
+        None,
+        aff_value=value,
+        program_size=(len(aip.objective), len(aip.rows)),
+    )
 
 
-def solve_with_sampler(
-    sampler: Callable[[int], ValuedStructure],
-    instance: Instance,
-    algorithm: str = COMBINED,
-    gamma2_hint: Optional[ValuedStructure] = None,
-) -> SolveAnswer:
-    """Run a finite-domain algorithm on the sample for |V| variables.
-
-    The sample's verdict transfers directly to the sampled problem.
-    """
-    sample = sampler(len(instance.variables))
-    if gamma2_hint is not None and sample.signature != gamma2_hint.signature:
-        raise SamplerSignatureMismatch("sample signature differs from template")
-    problems = validate_instance(sample, instance)
-    if problems:
-        raise SamplerSignatureMismatch("; ".join(problems))
-    if algorithm == COMBINED:
-        return combined_solve(sample, instance)
-    if algorithm == BLP_ONLY:
-        return blp_only_solve(sample, instance)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def pass_through_sampler(
-    structure: ValuedStructure,
-) -> Callable[[int], ValuedStructure]:
-    """Sampler for an already-finite structure: ignores d."""
-    return lambda d: structure
+# the one table of engines for the library and the CLI; each entry looks its
+# procedure up in the module globals when called, so a replaced module
+# attribute (a test's monkeypatch, a tracer's wrapper) is the one that runs
+ENGINES: dict[str, Callable[[ValuedStructure, Instance], SolveAnswer]] = {
+    "combined": lambda delta, instance: combined_solve(delta, instance),
+    "blp": lambda delta, instance: blp_only_solve(delta, instance),
+    "aip": lambda delta, instance: aip_only_solve(delta, instance),
+}

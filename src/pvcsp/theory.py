@@ -479,6 +479,39 @@ def _feasibility_measure(
     return FiniteMeasure.from_pairs(pairs)
 
 
+def _candidate_measure(
+    ops: list[OperationTable],
+    gamma: ValuedStructure,
+    constraints: list[tuple[str, tuple[tuple[str, ...], ...], Fraction]],
+) -> Union[FiniteMeasure, str]:
+    """The feasibility LP over the ops that hit no +inf on a constraint.
+
+    A constraint (symbol, points, rhs) has a finite rhs; an op's image of it
+    is the symbol's Gamma-cost of the op applied at each point.  Each op's
+    coefficient column is built once; an op with a +inf image can carry no
+    weight and is dropped at the first one.
+    """
+    admissible = []
+    columns = []
+    tables = [gamma.table(symbol) for symbol, _, _ in constraints]
+    for g in ops:
+        apply = g.as_dict()
+        column = []
+        for table, (_, points, _) in zip(tables, constraints):
+            cost = table[tuple(apply[p] for p in points)]
+            if cost is PLUS_INF:
+                break
+            column.append(cost)
+        else:
+            admissible.append(g)
+            columns.append(column)
+    rows = [
+        ([column[k] for column in columns], rhs)
+        for k, (_, _, rhs) in enumerate(constraints)
+    ]
+    return _feasibility_measure(admissible, rows)
+
+
 def find_frachom_lp(
     delta: ValuedStructure,
     gamma: ValuedStructure,
@@ -489,34 +522,13 @@ def find_frachom_lp(
     if delta.signature != gamma.signature:
         raise DomainMismatch("structures must share a signature")
     maps = _all_operations(delta.domain, gamma.domain, 1, cap)
-    # a map hitting +inf against a finite target can carry no weight
-    admissible = []
-    for h in maps:
-        ok = True
-        for symbol, arity in delta.signature.symbols:
-            for a in itertools.product(delta.domain, repeat=arity):
-                if is_finite(delta.cost(symbol, a)) and (
-                    gamma.cost(symbol, tuple(h.apply((x,)) for x in a))
-                    is PLUS_INF
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            admissible.append(h)
-    rows = []
-    for symbol, arity in delta.signature.symbols:
-        for a in itertools.product(delta.domain, repeat=arity):
-            target = delta.cost(symbol, a)
-            if target is PLUS_INF:
-                continue
-            coeffs = [
-                gamma.cost(symbol, tuple(h.apply((x,)) for x in a))
-                for h in admissible
-            ]
-            rows.append((coeffs, target))
-    return _feasibility_measure(admissible, rows)
+    constraints = [
+        (symbol, tuple((x,) for x in a), delta.cost(symbol, a))
+        for symbol, arity in delta.signature.symbols
+        for a in itertools.product(delta.domain, repeat=arity)
+        if is_finite(delta.cost(symbol, a))
+    ]
+    return _candidate_measure(maps, gamma, constraints)
 
 
 def find_promise_fpol_lp(
@@ -538,8 +550,6 @@ def find_promise_fpol_lp(
         ops = _all_operations(delta.domain, gamma.domain, m, cap)
     inv_m = Fraction(1, m)
 
-    admissible = []
-    constraints = []  # (symbol, tuples, rhs) with finite rhs
     sym_tuples = []
     for symbol, arity in delta.signature.symbols:
         for tuples in itertools.product(
@@ -552,34 +562,13 @@ def find_promise_fpol_lp(
             sym_tuples.append((symbol, tuples, rhs))
     if len(sym_tuples) * max(1, len(ops)) > cap:
         raise ResourceGuard("polymorphism search exceeds cap")
-
-    def image(g, symbol_arity, tuples):
-        return tuple(
-            g.apply(tuple(tuples[i][pos] for i in range(m)))
-            for pos in range(symbol_arity)
-        )
-
-    for g in ops:
-        ok = True
-        for symbol, tuples, rhs in sym_tuples:
-            if rhs is PLUS_INF:
-                continue
-            arity = delta.signature.arity(symbol)
-            if gamma.cost(symbol, image(g, arity, tuples)) is PLUS_INF:
-                ok = False
-                break
-        if ok:
-            admissible.append(g)
-    rows = []
-    for symbol, tuples, rhs in sym_tuples:
-        if rhs is PLUS_INF:
-            continue
-        arity = delta.signature.arity(symbol)
-        coeffs = [
-            gamma.cost(symbol, image(g, arity, tuples)) for g in admissible
-        ]
-        rows.append((coeffs, rhs))
-    output = _feasibility_measure(admissible, rows)
+    # the image of m argument tuples applies g at each position's m-tuple
+    constraints = [
+        (symbol, tuple(zip(*tuples)), rhs)
+        for symbol, tuples, rhs in sym_tuples
+        if rhs is not PLUS_INF
+    ]
+    output = _candidate_measure(ops, gamma, constraints)
     if output == NONE_EXISTS:
         return NONE_EXISTS
     return PromiseFpol(tuple([inv_m] * m), output)

@@ -157,11 +157,41 @@ def test_construct_malformed_partition(files, capsys, spec):
     assert err.startswith(f"error: bad partition {spec!r}")
 
 
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("measure", "measure frachom\narity x\n"),
+        ("measure", "measure frachom\narity\n"),
+        ("measure", "measure frachom\nin_domain 0 1\nout_domain 0 1\nmap\n"),
+        ("structure", "domain 0 1\nsymbol f -1 default 0\n"),
+        ("structure", None),
+        ("structure", b"domain 0 \xff\n"),
+    ],
+    ids=["arity-x", "arity-missing", "weight-missing", "arity-negative",
+         "directory", "not-utf8"],
+)
+def test_malformed_input_is_error(files, tmp_path, capsys, kind, content):
+    _, s, sat, _ = files
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    if kind == "measure":
+        argv = ["check", "--measure", str(bad), "--structure", s]
+    else:
+        argv = ["solve", "--structure", str(bad), "--instance", sat]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_compare_unknown_engine(capsys):
     args = ["compare", "--family", "xor", "--count", "1", "--engines", "combined,bogus"]
     assert main(args) == EXIT_ERROR
     captured = capsys.readouterr()
-    assert "'bogus'" in captured.err and "blp, combined" in captured.err
+    assert "'bogus'" in captured.err and "aip, blp, combined" in captured.err
     assert captured.out == ""
 
 
@@ -170,6 +200,10 @@ def test_compare_clean_run(capsys):
     assert code == EXIT_YES
     out = capsys.readouterr().out
     assert "flagged disagreements: 0/5" in out
+    aip = ["compare", "--family", "xor", "--count", "5", "--seed", "1",
+           "--engines", "aip", "--expect-weak"]
+    assert main(aip) == EXIT_YES
+    assert "aip=" in capsys.readouterr().out
 
 
 def test_compare_blp_needs_expect_weak(capsys):

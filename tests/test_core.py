@@ -15,9 +15,9 @@ from pvcsp.core import (
     ValuedStructure,
     YES,
     brute_force_min,
+    check_instance,
     evaluate_cost,
     pvcsp_oracle,
-    validate_instance,
 )
 from pvcsp.errors import ArityMismatch, UnassignedVariable, UnknownSymbol
 from pvcsp.values import PLUS_INF, is_finite
@@ -148,20 +148,23 @@ def test_oracle_partitions_exactly():
             assert not yes_cond and not no_cond
 
 
-def test_validate_instance():
+def test_check_instance():
     s = unary_step()
-    ok = Instance(("x",), (Term("f", ("x",)),), Fraction(0))
-    assert validate_instance(s, ok) == []
-    bad = Instance(
-        ("x",),
-        (Term("f", ("x", "x", "x")), Term("g", ("x",)), Term("f", ("y",))),
-        Fraction(0),
-    )
-    problems = validate_instance(s, bad)
-    assert len(problems) == 3
-    assert any("arity" in p for p in problems)
-    assert any("unknown symbol" in p for p in problems)
-    assert any("undeclared" in p for p in problems)
+    ok = Term("f", ("x",))
+    check_instance(s, Instance(("x",), (ok,), Fraction(0)))
+    cases = [
+        (Term("g", ("x",)), UnknownSymbol, "term 1: unknown symbol 'g'"),
+        (
+            Term("f", ("x", "x", "x")),
+            ArityMismatch,
+            "term 1: symbol 'f' has arity 1, got 3 arguments",
+        ),
+        (Term("f", ("y",)), UnassignedVariable, "term 1: undeclared variable 'y'"),
+    ]
+    for bad, error, message in cases:
+        with pytest.raises(error) as info:
+            check_instance(s, Instance(("x",), (ok, bad), Fraction(0)))
+        assert str(info.value) == message
 
 
 def test_infinity_iff_outside_dom():

@@ -19,14 +19,9 @@ from pvcsp.core import (
     brute_force_min,
     pvcsp_oracle,
 )
-from pvcsp.errors import (
-    IndexMisalignment,
-    PreconditionViolated,
-    PvcspError,
-    SamplerSignatureMismatch,
-)
+from pvcsp.errors import IndexMisalignment, PreconditionViolated, PvcspError
 from pvcsp.relax import (
-    BLP_ONLY,
+    ENGINES,
     FEASIBLE_INTERIOR,
     OPTIMAL_FACE_INTERIOR,
     aip_value,
@@ -35,10 +30,8 @@ from pvcsp.relax import (
     build_aip,
     build_blp,
     combined_solve,
-    pass_through_sampler,
     refine_aip,
     select_star_point,
-    solve_with_sampler,
 )
 from pvcsp.values import MINUS_INF, PLUS_INF
 
@@ -337,22 +330,16 @@ def test_combined_solve_trace_mentions_verdict():
     assert "verdict: yes" in text and "blp value: 0" in text
 
 
-def test_combined_never_rejects_true_yes():
-    rng = random.Random(17)
-    for _ in range(40):
-        delta = generators.random_structure(rng)
-        ins = generators.random_instance(rng, delta, 4, 4)
-        if brute_force_min(delta, ins) <= ins.threshold:
-            assert combined_solve(delta, ins).verdict == YES
-
-
-def test_blp_only_never_rejects_true_yes():
-    rng = random.Random(19)
-    for _ in range(40):
-        delta = generators.random_structure(rng)
-        ins = generators.random_instance(rng, delta, 4, 4)
-        if brute_force_min(delta, ins) <= ins.threshold:
-            assert blp_only_solve(delta, ins).verdict == YES
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_engine_never_rejects_true_yes(engine):
+    # every engine is a relaxation: an attaining assignment is a feasible point
+    for seed in (17, 19):
+        rng = random.Random(seed)
+        for _ in range(40):
+            delta = generators.random_structure(rng)
+            ins = generators.random_instance(rng, delta, 4, 4)
+            if brute_force_min(delta, ins) <= ins.threshold:
+                assert ENGINES[engine](delta, ins).verdict == YES
 
 
 def test_no_verdicts_respect_oracle():
@@ -372,21 +359,3 @@ def test_no_verdicts_respect_oracle():
         if verdict == NO:
             assert truth in (NO, GAP)
 
-
-def test_solve_with_sampler_matches_direct():
-    ins = inst(["x", "y"], [("xor1", ["x", "y"])], 0)
-    ans = solve_with_sampler(pass_through_sampler(XOR), ins)
-    assert ans.verdict == combined_solve(XOR, ins).verdict
-
-
-def test_solve_with_sampler_blp_only_mode():
-    delta, ins = generators.xor_odd_cycle()
-    ans = solve_with_sampler(pass_through_sampler(delta), ins, algorithm=BLP_ONLY)
-    assert ans.verdict == YES
-
-
-def test_solve_with_sampler_hint_mismatch():
-    ins = inst(["x", "y"], [("xor1", ["x", "y"])], 0)
-    horn = generators.horn_structure()
-    with pytest.raises(SamplerSignatureMismatch):
-        solve_with_sampler(pass_through_sampler(XOR), ins, gamma2_hint=horn)
