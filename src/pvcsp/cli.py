@@ -126,24 +126,31 @@ def cmd_construct(args) -> int:
     return EXIT_YES
 
 
-FAMILIES = {
-    "xor": lambda rng: (generators.xor_structure(), None),
-    "horn": lambda rng: (generators.horn_structure(), None),
-    "submodular": lambda rng: (generators.submodular_structure(rng), None),
-    "random": lambda rng: _random_template(rng),
-}
-
-
 def _random_template(rng):
     delta = generators.random_structure(rng, domain_size=rng.randint(2, 3))
     gamma = generators.weaken_structure(rng, delta)
     return delta, gamma
 
 
-def _family_bounds(family: str) -> tuple[int, int]:
-    return {"xor": (6, 6), "horn": (6, 6), "submodular": (5, 5), "random": (4, 4)}[
-        family
-    ]
+# family -> (template draw giving delta and gamma or None, max variables,
+# max terms of the instance)
+FAMILIES = {
+    "xor": (lambda rng: (generators.xor_structure(), None), 6, 6),
+    "horn": (lambda rng: (generators.horn_structure(), None), 6, 6),
+    "submodular": (
+        lambda rng: (generators.submodular_structure(rng), None), 5, 5
+    ),
+    "random": (_random_template, 4, 4),
+}
+
+
+def _draw(family: str, rng: random.Random):
+    """One (delta, gamma or None, instance) of a family: the template is
+    drawn from rng first, then the instance."""
+    template, max_vars, max_terms = FAMILIES[family]
+    delta, gamma = template(rng)
+    instance = generators.random_instance(rng, delta, max_vars, max_terms)
+    return delta, gamma, instance
 
 
 def cmd_compare(args) -> int:
@@ -157,11 +164,9 @@ def cmd_compare(args) -> int:
         )
     records = []
     flagged = 0
-    max_vars, max_terms = _family_bounds(args.family)
     for i in range(args.count):
-        delta, gamma = FAMILIES[args.family](rng)
+        delta, gamma, instance = _draw(args.family, rng)
         gamma = gamma or delta
-        instance = generators.random_instance(rng, delta, max_vars, max_terms)
         oracle_class = pvcsp_oracle(PromiseTemplate(delta, gamma), instance)
         verdicts = {}
         agree = True
@@ -203,10 +208,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
-    delta, gamma = FAMILIES[args.family](rng)
-    max_vars, max_terms = _family_bounds(args.family)
-    instance = generators.random_instance(rng, delta, max_vars, max_terms)
+    delta, gamma, instance = _draw(args.family, random.Random(args.seed))
     os.makedirs(args.output, exist_ok=True)
     with open(os.path.join(args.output, "structure.pvcsp"), "w") as fh:
         fh.write(formats.print_structure(delta))

@@ -292,13 +292,21 @@ def evaluate_cost(
 
 
 def brute_force_min(structure: ValuedStructure, instance: Instance) -> ExtRat:
-    """Exhaustive minimum of evaluate_cost over all assignments."""
+    """Exhaustive minimum of evaluate_cost over all assignments: the
+    instance is checked once, then each assignment sums its term tables."""
     check_instance(structure, instance)
+    position = {v: i for i, v in enumerate(instance.variables)}
+    terms = [
+        (structure.table(t.symbol), [position[v] for v in t.args])
+        for t in instance.terms
+    ]
     best: ExtRat = PLUS_INF
-    variables = instance.variables
-    for labels in itertools.product(structure.domain, repeat=len(variables)):
-        assignment = dict(zip(variables, labels))
-        cost = evaluate_cost(structure, instance, assignment)
+    for labels in itertools.product(
+        structure.domain, repeat=len(instance.variables)
+    ):
+        cost: ExtRat = Fraction(0)
+        for table, at in terms:
+            cost = cost + table[tuple(labels[i] for i in at)]
         if cost < best:
             best = cost
     return best

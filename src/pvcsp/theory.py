@@ -2,6 +2,11 @@
 symmetry, multiset structures, the constructive lifts between them, and
 LP-based witness searches.
 
+A fractional homomorphism Delta -> Gamma is the unary promise fractional
+polymorphism with input weight 1, and an unrestricted m-ary search is the
+block-symmetric one over m singleton blocks; so there is one polymorphism
+check and one polymorphism search, and the homomorphism ones run them.
+
 Every checker is a full exhaustive enumeration guarded by a hard cap;
 exactness over scale.  Measures collapse equal tables by summing weights,
 so measure equality is table-wise comparison.
@@ -24,7 +29,7 @@ from .core import (
     tuple_to_multiset,
 )
 from .errors import DomainMismatch, PreconditionViolated, ResourceGuard
-from .values import PLUS_INF, ExtRat, is_finite
+from .values import PLUS_INF, ExtRat
 
 DEFAULT_CAP = 10**7
 
@@ -38,6 +43,8 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.blocks:
+            raise ValueError("partition has no blocks")
         seen: list[int] = []
         for block in self.blocks:
             if not block:
@@ -113,7 +120,8 @@ def check_fractional_homomorphism(
     gamma: ValuedStructure,
 ) -> tuple[bool, Optional[tuple[str, tuple[str, ...]]]]:
     """Expected Gamma-cost of each image tuple at most the Delta-cost,
-    for every symbol and tuple; returns the first violator if any."""
+    for every symbol and tuple; returns the first violator if any.  This is
+    the polymorphism check of the unary measure with input weight 1."""
     if delta.signature != gamma.signature:
         raise DomainMismatch("structures must share a signature")
     for h in chi.support():
@@ -121,19 +129,11 @@ def check_fractional_homomorphism(
             raise DomainMismatch("fractional homomorphism maps are unary")
         if h.in_domain != delta.domain or h.out_domain != gamma.domain:
             raise DomainMismatch("map domains do not match the structures")
-    for symbol, arity in delta.signature.symbols:
-        for a in itertools.product(delta.domain, repeat=arity):
-            lhs = _expected_cost(
-                gamma,
-                symbol,
-                [
-                    (tuple(h.apply((x,)) for x in a), w)
-                    for h, w in chi
-                ],
-            )
-            if not lhs <= delta.cost(symbol, a):
-                return False, (symbol, a)
-    return True, None
+    violator = _violator(PromiseFpol((Fraction(1),), chi), delta, gamma)
+    if violator is None:
+        return True, None
+    symbol, (a,) = violator
+    return False, (symbol, a)
 
 
 def check_promise_fpol(
@@ -153,28 +153,32 @@ def check_promise_fpol(
     ) * max(1, len(omega.output.support()))
     if work > cap:
         raise ResourceGuard(f"{work} inequality evaluations exceed cap {cap}")
+    violator = _violator(omega, delta, gamma)
+    return violator is None, violator
+
+
+def _violator(
+    omega: PromiseFpol, delta: ValuedStructure, gamma: ValuedStructure
+) -> Optional[tuple[str, tuple]]:
+    """The first (symbol, m argument tuples) where the expected Gamma-cost
+    of the images exceeds the input-weighted Delta-cost, or None."""
+    m = omega.arity
     for symbol, arity in delta.signature.symbols:
         for tuples in itertools.product(
             itertools.product(delta.domain, repeat=arity), repeat=m
         ):
-            images = []
-            for g, w in omega.output:
-                out = tuple(
-                    g.apply(tuple(tuples[i][pos] for i in range(m)))
-                    for pos in range(arity)
-                )
-                images.append((out, w))
+            # g is applied at each position's m-tuple of arguments
+            images = [
+                (tuple(g.apply(col) for col in zip(*tuples)), w)
+                for g, w in omega.output
+            ]
+            inputs = [
+                (t, w) for t, w in zip(tuples, omega.input_weights) if w != 0
+            ]
             lhs = _expected_cost(gamma, symbol, images)
-            rhs: ExtRat = Fraction(0)
-            for i in range(m):
-                w = omega.input_weights[i]
-                if w == 0:
-                    continue
-                cost = delta.cost(symbol, tuples[i])
-                rhs = rhs + (cost if cost is PLUS_INF else w * cost)
-            if not lhs <= rhs:
-                return False, (symbol, tuples)
-    return True, None
+            if not lhs <= _expected_cost(delta, symbol, inputs):
+                return symbol, tuples
+    return None
 
 
 def check_block_symmetry(g: OperationTable, partition: BlockPartition) -> bool:
@@ -209,7 +213,7 @@ def symmetrize_input_weights(
             raise PreconditionViolated(
                 "input weight block sums must equal |B|/m"
             )
-    return PromiseFpol(tuple([Fraction(1, m)] * m), omega.output)
+    return PromiseFpol.uniform_input(omega.output)
 
 
 def block_multiset_domain(
@@ -223,6 +227,17 @@ def block_multiset_domain(
 
 def render_multiset_element(element: tuple[tuple[str, ...], ...]) -> str:
     return "|".join(",".join(ms) for ms in element)
+
+
+def _block_element(
+    a: tuple[str, ...], partition: BlockPartition, domain: Sequence[str]
+) -> tuple[tuple[str, ...], ...]:
+    """The block-multiset element a tuple in D^m realises: its restriction
+    to each block as a multiset."""
+    return tuple(
+        tuple_to_multiset([a[i] for i in block], domain)
+        for block in partition.blocks
+    )
 
 
 def _distinct_permutations(ms: tuple[str, ...]):
@@ -300,15 +315,6 @@ def block_multiset_structure(
     return ValuedStructure(delta.signature, labels, tables)
 
 
-def _place_canonical(element, partition: BlockPartition) -> tuple[str, ...]:
-    """The canonical arrangement of a multiset element as a tuple in D^m."""
-    t = [""] * partition.arity
-    for block, ms in zip(partition.blocks, element):
-        for pos, val in zip(block, ms):
-            t[pos] = val
-    return tuple(t)
-
-
 def lift_fpol_to_frachom(
     omega: PromiseFpol,
     partition: BlockPartition,
@@ -326,7 +332,7 @@ def lift_fpol_to_frachom(
     pairs = []
     for g, w in omega.output:
         mapping = {
-            (lab,): g.apply(_place_canonical(e, partition))
+            (lab,): g.apply(next(_arrangements(e, partition, canonical=True)))
             for lab, e in zip(labels, elements)
         }
         lifted = OperationTable.from_map(labels, gamma.domain, 1, mapping)
@@ -354,17 +360,13 @@ def fpol_from_frachom(
             raise DomainMismatch(
                 "chi's input domain is not the block-multiset domain"
             )
-        mapping = {}
-        for a in itertools.product(base_domain, repeat=m):
-            element = tuple(
-                tuple_to_multiset([a[i] for i in block], base_domain)
-                for block in partition.blocks
-            )
-            mapping[a] = h.apply((label_of[element],))
+        mapping = {
+            a: h.apply((label_of[_block_element(a, partition, base_domain)],))
+            for a in itertools.product(base_domain, repeat=m)
+        }
         g = OperationTable.from_map(base_domain, h.out_domain, m, mapping)
         pairs.append((g, w))
-    output = FiniteMeasure.from_pairs(pairs)
-    return PromiseFpol(tuple([Fraction(1, m)] * m), output)
+    return PromiseFpol.uniform_input(FiniteMeasure.from_pairs(pairs))
 
 
 def compose_sampling_fpol(
@@ -386,97 +388,28 @@ def compose_sampling_fpol(
                 h.in_domain, g.out_domain, m, mapping
             )
             pairs.append((composed, wh * wg))
-    output = FiniteMeasure.from_pairs(pairs)
-    return PromiseFpol(tuple([Fraction(1, m)] * m), output)
-
-
-def _all_operations(
-    in_domain: tuple[str, ...], out_domain: tuple[str, ...], arity: int, cap: int
-) -> list[OperationTable]:
-    points = list(itertools.product(in_domain, repeat=arity))
-    count = len(out_domain) ** len(points)
-    if count > cap:
-        raise ResourceGuard(f"{count} operation tables exceed cap {cap}")
-    ops = []
-    for outputs in itertools.product(out_domain, repeat=len(points)):
-        ops.append(
-            OperationTable.from_map(
-                in_domain, out_domain, arity, dict(zip(points, outputs))
-            )
-        )
-    return ops
+    return PromiseFpol.uniform_input(FiniteMeasure.from_pairs(pairs))
 
 
 def _block_symmetric_operations(
     in_domain, out_domain, partition: BlockPartition, cap: int
 ) -> list[OperationTable]:
     """Only the multiset-respecting tables: one free value per block-multiset
-    tuple, expanded to a full table."""
+    tuple, expanded to a full table.  Over singleton blocks that is every
+    table, in the lexicographic order of its outputs."""
     elements = block_multiset_domain(in_domain, partition)
     count = len(out_domain) ** len(elements)
     if count > cap:
         raise ResourceGuard(f"{count} block-symmetric tables exceed cap {cap}")
     m = partition.arity
-    keys = []
-    for a in itertools.product(in_domain, repeat=m):
-        keys.append(
-            tuple(
-                tuple_to_multiset([a[i] for i in block], in_domain)
-                for block in partition.blocks
-            )
-        )
+    points = list(itertools.product(in_domain, repeat=m))
+    keys = [_block_element(a, partition, in_domain) for a in points]
     ops = []
     for outputs in itertools.product(out_domain, repeat=len(elements)):
         value = dict(zip(elements, outputs))
-        mapping = {
-            a: value[key]
-            for a, key in zip(itertools.product(in_domain, repeat=m), keys)
-        }
+        mapping = {a: value[key] for a, key in zip(points, keys)}
         ops.append(OperationTable.from_map(in_domain, out_domain, m, mapping))
     return ops
-
-
-def _feasibility_measure(
-    candidates: list[OperationTable],
-    rows: list[tuple[list[Fraction], Fraction]],
-) -> Union[FiniteMeasure, str]:
-    """Solve: weights >= 0, sum = 1, and row . w <= rhs for each row.
-
-    Inequalities get slack columns; the LP is a pure feasibility solve.
-    """
-    if not candidates:
-        return NONE_EXISTS
-    # candidates with identical coefficient columns are interchangeable;
-    # solve over one representative each
-    seen: dict[tuple, int] = {}
-    reps: list[int] = []
-    for i in range(len(candidates)):
-        key = tuple(coeffs[i] for coeffs, _ in rows)
-        if key not in seen:
-            seen[key] = i
-            reps.append(i)
-    n = len(reps)
-    width = n + len(rows)
-    eq_rows = []
-    rhs = []
-    norm = [Fraction(1)] * n + [Fraction(0)] * len(rows)
-    eq_rows.append(norm)
-    rhs.append(Fraction(1))
-    for k, (coeffs, bound) in enumerate(rows):
-        row = [coeffs[i] for i in reps] + [Fraction(0)] * len(rows)
-        row[n + k] = Fraction(1)
-        eq_rows.append(row)
-        rhs.append(bound)
-    lp = exactlp.LinearProgram(width, eq_rows, rhs, [Fraction(0)] * width)
-    res = exactlp.solve_lp(lp)
-    if res.status != exactlp.OPTIMAL:
-        return NONE_EXISTS
-    pairs = [
-        (candidates[reps[i]], res.point[i])
-        for i in range(n)
-        if res.point[i] > 0
-    ]
-    return FiniteMeasure.from_pairs(pairs)
 
 
 def _candidate_measure(
@@ -484,16 +417,18 @@ def _candidate_measure(
     gamma: ValuedStructure,
     constraints: list[tuple[str, tuple[tuple[str, ...], ...], Fraction]],
 ) -> Union[FiniteMeasure, str]:
-    """The feasibility LP over the ops that hit no +inf on a constraint.
+    """Solve: weights >= 0 on the ops that hit no +inf on a constraint,
+    sum = 1, and the expected image cost of each constraint <= its rhs.
 
     A constraint (symbol, points, rhs) has a finite rhs; an op's image of it
     is the symbol's Gamma-cost of the op applied at each point.  Each op's
     coefficient column is built once; an op with a +inf image can carry no
-    weight and is dropped at the first one.
+    weight and is dropped at the first one.  Ops with identical columns are
+    interchangeable, so the LP has one column per distinct column, taken by
+    its first op, plus a slack per constraint: a pure feasibility solve.
     """
-    admissible = []
-    columns = []
     tables = [gamma.table(symbol) for symbol, _, _ in constraints]
+    reps: dict[tuple, OperationTable] = {}
     for g in ops:
         apply = g.as_dict()
         column = []
@@ -503,13 +438,50 @@ def _candidate_measure(
                 break
             column.append(cost)
         else:
-            admissible.append(g)
-            columns.append(column)
-    rows = [
-        ([column[k] for column in columns], rhs)
-        for k, (_, _, rhs) in enumerate(constraints)
+            reps.setdefault(tuple(column), g)
+    if not reps:
+        return NONE_EXISTS
+    n, k = len(reps), len(constraints)
+    rows = [[Fraction(1)] * n + [Fraction(0)] * k]
+    for j in range(k):
+        row = [column[j] for column in reps] + [Fraction(0)] * k
+        row[n + j] = Fraction(1)
+        rows.append(row)
+    rhs = [Fraction(1)] + [bound for _, _, bound in constraints]
+    lp = exactlp.LinearProgram(n + k, rows, rhs, [Fraction(0)] * (n + k))
+    res = exactlp.solve_lp(lp)
+    if res.status != exactlp.OPTIMAL:
+        return NONE_EXISTS
+    return FiniteMeasure.from_pairs(
+        (g, x) for g, x in zip(reps.values(), res.point) if x > 0
+    )
+
+
+def _search(
+    template: PromiseTemplate, partition: BlockPartition, cap: int
+) -> Union[FiniteMeasure, str]:
+    """The output measure of a uniform-input polymorphism whose support is
+    block-symmetric over the partition, or NONE_EXISTS."""
+    delta, gamma = template.delta, template.gamma
+    ops = _block_symmetric_operations(delta.domain, gamma.domain, partition, cap)
+    m = partition.arity
+    inv_m = Fraction(1, m)
+    sym_tuples = []
+    for symbol, arity in delta.signature.symbols:
+        for tuples in itertools.product(
+            itertools.product(delta.domain, repeat=arity), repeat=m
+        ):
+            rhs = _expected_cost(delta, symbol, [(t, inv_m) for t in tuples])
+            sym_tuples.append((symbol, tuples, rhs))
+    if len(sym_tuples) * max(1, len(ops)) > cap:
+        raise ResourceGuard("polymorphism search exceeds cap")
+    # the image of m argument tuples applies g at each position's m-tuple
+    constraints = [
+        (symbol, tuple(zip(*tuples)), rhs)
+        for symbol, tuples, rhs in sym_tuples
+        if rhs is not PLUS_INF
     ]
-    return _feasibility_measure(admissible, rows)
+    return _candidate_measure(ops, gamma, constraints)
 
 
 def find_frachom_lp(
@@ -518,17 +490,8 @@ def find_frachom_lp(
     cap: int = DEFAULT_CAP,
 ) -> Union[FractionalHomomorphism, str]:
     """LP feasibility search over all unary maps; a valid measure or a
-    correct non-existence verdict."""
-    if delta.signature != gamma.signature:
-        raise DomainMismatch("structures must share a signature")
-    maps = _all_operations(delta.domain, gamma.domain, 1, cap)
-    constraints = [
-        (symbol, tuple((x,) for x in a), delta.cost(symbol, a))
-        for symbol, arity in delta.signature.symbols
-        for a in itertools.product(delta.domain, repeat=arity)
-        if is_finite(delta.cost(symbol, a))
-    ]
-    return _candidate_measure(maps, gamma, constraints)
+    correct non-existence verdict.  This is the unary polymorphism search."""
+    return _search(PromiseTemplate(delta, gamma), BlockPartition(((0,),)), cap)
 
 
 def find_promise_fpol_lp(
@@ -539,39 +502,16 @@ def find_promise_fpol_lp(
 ) -> Union[PromiseFpol, str]:
     """LP feasibility search over m-ary operations (optionally restricted to
     block-symmetric tables); input weights fixed uniform."""
-    delta, gamma = template.delta, template.gamma
-    if partition is not None:
-        if partition.arity != m:
-            raise DomainMismatch("partition arity differs from m")
-        ops = _block_symmetric_operations(
-            delta.domain, gamma.domain, partition, cap
-        )
-    else:
-        ops = _all_operations(delta.domain, gamma.domain, m, cap)
-    inv_m = Fraction(1, m)
-
-    sym_tuples = []
-    for symbol, arity in delta.signature.symbols:
-        for tuples in itertools.product(
-            itertools.product(delta.domain, repeat=arity), repeat=m
-        ):
-            rhs: ExtRat = Fraction(0)
-            for t in tuples:
-                cost = delta.cost(symbol, t)
-                rhs = rhs + (cost if cost is PLUS_INF else inv_m * cost)
-            sym_tuples.append((symbol, tuples, rhs))
-    if len(sym_tuples) * max(1, len(ops)) > cap:
-        raise ResourceGuard("polymorphism search exceeds cap")
-    # the image of m argument tuples applies g at each position's m-tuple
-    constraints = [
-        (symbol, tuple(zip(*tuples)), rhs)
-        for symbol, tuples, rhs in sym_tuples
-        if rhs is not PLUS_INF
-    ]
-    output = _candidate_measure(ops, gamma, constraints)
+    if m < 1:
+        raise PreconditionViolated("a polymorphism needs arity m >= 1")
+    if partition is None:
+        partition = BlockPartition(tuple((i,) for i in range(m)))
+    elif partition.arity != m:
+        raise DomainMismatch("partition arity differs from m")
+    output = _search(template, partition, cap)
     if output == NONE_EXISTS:
         return NONE_EXISTS
-    return PromiseFpol(tuple([inv_m] * m), output)
+    return PromiseFpol.uniform_input(output)
 
 
 THIRD_K = "third-k"

@@ -72,29 +72,34 @@ def vertex_minimum(lp):
 def box_solutions(A, b, bound):
     """Integer points x with |x_i| <= bound and Ax = b, via numpy.
 
-    Entries stay far inside int64, so the arithmetic is exact.  Chunked
-    over the first coordinate to bound peak memory.
+    Every coordinate but one is enumerated over the box.  The one left
+    out, x_j, has a nonzero coefficient in some row r, so it is solved from
+    row r by exact division; then the box bound on x_j and every row are
+    checked.  Entries stay far inside int64, so the arithmetic is exact.
     """
-    n = len(A[0])
     An = np.array(A, dtype=np.int64)
     bn = np.array(b, dtype=np.int64)
+    n = An.shape[1]
     axis = np.arange(-bound, bound + 1)
-    if n == 1:
-        X = axis[None, :]
-        mask = np.all(An @ X == bn[:, None], axis=0)
-        return X[:, mask].T
-    chunks = []
-    for x0 in axis:
-        grids = np.meshgrid(*[axis] * (n - 1), indexing="ij")
-        X = np.stack(
-            [np.full(grids[0].size, x0)] + [g.ravel() for g in grids]
-        )
-        mask = np.all(An @ X == bn[:, None], axis=0)
-        if mask.any():
-            chunks.append(X[:, mask].T)
-    if not chunks:
-        return np.empty((0, n), dtype=np.int64)
-    return np.concatenate(chunks)
+    nonzero = np.argwhere(An != 0)
+    if len(nonzero) == 0:  # 0 = b holds on the whole box or nowhere
+        if bn.any():
+            return np.empty((0, n), dtype=np.int64)
+        grids = np.meshgrid(*[axis] * n, indexing="ij")
+        return np.stack([g.ravel() for g in grids]).T
+    r, j = nonzero[0]
+    X = np.zeros((n, axis.size ** (n - 1)), dtype=np.int64)
+    grids = np.meshgrid(*[axis] * (n - 1), indexing="ij")
+    for k, g in zip([k for k in range(n) if k != j], grids):
+        X[k] = g.ravel()
+    residual = bn[r] - An[r] @ X  # X[j] is still 0
+    X[j] = residual // An[r, j]
+    mask = (
+        (residual % An[r, j] == 0)
+        & (np.abs(X[j]) <= bound)
+        & np.all(An @ X == bn[:, None], axis=0)
+    )
+    return X[:, mask].T
 
 
 def box_min_objective(A, b, c_num, c_den, bound):

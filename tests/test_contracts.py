@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -24,6 +25,33 @@ def test_traced_function_exists(module, name):
     # the benchmark's tracer wraps these by name; a rename must fail here
     target = getattr(importlib.import_module(f"pvcsp.{module}"), name, None)
     assert callable(target), f"pvcsp.{module}.{name} is not a callable"
+
+
+def test_traced_observers_read_real_parameters():
+    # an observer `_<module>_<name>(self, a, res, index)` reads the traced
+    # call's bound arguments as a["key"]; a renamed parameter must fail here,
+    # not as failed ops in a traced benchmark run
+    observers = {f"_{module}_{name}": (module, name) for module, name in _traced()}
+    source = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in observers:
+            bound = node.args.args[1].arg
+            reads += [
+                (*observers[node.name], sub.slice.value)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == bound
+                and isinstance(sub.slice, ast.Constant)
+            ]
+    assert reads, "found no observer that reads an argument"
+    missing = []
+    for module, name, key in reads:
+        fn = getattr(importlib.import_module(f"pvcsp.{module}"), name)
+        if key not in inspect.signature(fn).parameters:
+            missing.append(f"pvcsp.{module}.{name} has no parameter {key!r}")
+    assert missing == []
 
 
 def test_no_assert_statements_in_package():

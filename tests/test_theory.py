@@ -64,6 +64,10 @@ def test_partition_validation():
         BlockPartition(((0, 2),))
     with pytest.raises(ValueError):
         BlockPartition(((),))
+    with pytest.raises(ValueError):
+        BlockPartition(())
+    with pytest.raises(ValueError):
+        BlockPartition.from_sizes([])
     p = BlockPartition.from_sizes([2, 1])
     assert p.blocks == ((0, 1), (2,))
     assert p.arity == 3 and p.sizes() == (2, 1)
@@ -112,6 +116,12 @@ def test_frachom_rejects_wrong_domains():
         check_fractional_homomorphism(
             FiniteMeasure.point_mass(IDENTITY), delta, gamma
         )
+
+
+def test_frachom_rejects_non_unary_maps():
+    delta = unary_structure(F(0), F(0))
+    with pytest.raises(DomainMismatch):
+        check_fractional_homomorphism(FiniteMeasure.point_mass(MIN2), delta, delta)
 
 
 def test_frachom_transfer_of_attainment():
@@ -473,6 +483,14 @@ def test_find_fpol_projections_cover_crisp_templates():
     delta = generators.xor_structure()
     omega = find_promise_fpol_lp(PromiseTemplate(delta, delta), 2, cap=10**8)
     assert omega != NONE_EXISTS
+
+
+def test_find_fpol_needs_positive_arity():
+    xor = generators.xor_structure()
+    template = PromiseTemplate(xor, xor)
+    for m in (0, -1):
+        with pytest.raises(PreconditionViolated):
+            find_promise_fpol_lp(template, m)
 
 
 def test_find_fpol_cap():
