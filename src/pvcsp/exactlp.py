@@ -1,14 +1,15 @@
 """Exact rational LP in standard equality form (min c.x, Ax = b, x >= 0).
 
 Two-phase simplex with Bland's anti-cycling rule.  Input entries are ints
-or Fractions, exact either way; outputs are Fractions.  The tableau is
-integer-preserving (Python ints over one denominator per row,
+or Fractions, exact either way; outputs are Fractions.  Phase 1 adds an
+artificial only to a row without a unit column (a slack of 1, say).  The
+tableau is integer-preserving (Python ints over one denominator per row,
 fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
 so pricing is a scan of that row.  Also provides the relative-interior
 machinery: a support profile (which coordinates can be positive over the
 feasible region or over its optimal face) and a relative interior point,
-the average of the witnesses found by warm support rounds on the one
-tableau that phase 1 built.
+the average, in ints, of the witnesses found by warm support rounds on
+the one tableau that phase 1 built.
 """
 
 from __future__ import annotations
@@ -88,19 +89,20 @@ class _Tableau:
     pivot is a Bareiss update (Edmonds 1967; Bareiss 1968): each row with a
     nonzero entry in the pivot column moves to the new d, by exact
     divisions.  A row with a zero there is unchanged as a rational row, so
-    it keeps the denominator it had instead of being rescaled.  Columns
-    beyond n are phase-1 artificials, dropped once phase 1 is over.
+    it keeps the denominator it had instead of being rescaled.  A row's
+    unit column (1 in it once scaled, 0 in every other row) starts basic;
+    columns beyond n are phase-1 artificials, one per row without one,
+    dropped once phase 1 is over.
     """
 
     def __init__(self, lp: LinearProgram):
-        self.n = lp.n
+        self.n = n = lp.n
         m = len(lp.rows)
         # row i scaled by s_i, the lcm of its denominators, with its sign
-        # chosen so that rhs >= 0; then the artificial identity
+        # chosen so that rhs >= 0
         self.scale: list[int] = []
         self.scaled: list[list[int]] = []
-        self.rows: list[list[int]] = []
-        for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        for row, b in zip(lp.rows, lp.rhs):
             s = math.lcm(b.denominator, *(a.denominator for a in row))
             if b < 0:
                 s = -s
@@ -108,12 +110,20 @@ class _Tableau:
             ints.append(b.numerator * (s // b.denominator))
             self.scale.append(abs(s))
             self.scaled.append(ints)
-            art = [0] * m
-            art[i] = 1
-            self.rows.append(ints[:-1] + art + ints[-1:])
+        # each row starts from its first unit column, or else an artificial
+        self.basis = [-1] * m
+        for j, column in enumerate(zip(*self.scaled)):
+            if j < n and column.count(0) == m - 1 and 1 in column:
+                i = column.index(1)
+                if self.basis[i] < 0:
+                    self.basis[i] = j
+        arts = [i for i, b in enumerate(self.basis) if b < 0]
+        self.rows = [ints[:-1] + [0] * len(arts) + ints[-1:] for ints in self.scaled]
+        for t, i in enumerate(arts):
+            self.rows[i][n + t] = 1
+            self.basis[i] = n + t
         self.den = [1] * m
-        self.width = self.n + m
-        self.basis = [self.n + i for i in range(m)]
+        self.width = n + len(arts)
         self.d = 1
         # the reduced-cost row of the current run, over red_den; see run
         self.red: Optional[list[int]] = None
@@ -187,29 +197,34 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def solution(self) -> list[Fraction]:
-        self._check_rows(-1)
         x = [ZERO] * self.n
-        for row, b, e in zip(self.rows, self.basis, self.den):
-            if b < self.n:
-                x[b] = Fraction(row[-1], e)
+        for b, v in self._check_rows(-1):
+            x[b] = Fraction(v, self.d)
         return x
 
     def ray(self, enter: int) -> list[Fraction]:
-        self._check_rows(enter)
         ray = [ZERO] * self.n
         if enter < self.n:
             ray[enter] = ONE
-        for row, b, e in zip(self.rows, self.basis, self.den):
-            if b < self.n:
-                ray[b] = -Fraction(row[enter], e)
+        for b, v in self._check_rows(enter):
+            ray[b] = -Fraction(v, self.d)
         return ray
 
-    def _check_rows(self, j: int) -> None:
-        """Raise InvariantViolated unless the basic solution (j = -1, the
-        rhs) or the ray of entering column j satisfies every scaled input
-        row exactly, in ints: the safety net for the exact divisions."""
+    def witness(self, enter: Optional[int]) -> dict[int, int]:
+        """The basic solution, plus the ray of structural column `enter`
+        if given, as its nonzero coordinates over d."""
+        w = dict(self._check_rows(-1))
+        if enter is not None:
+            w[enter] = self.d
+            for b, v in self._check_rows(enter):
+                w[b] = w.get(b, 0) - v
+        return w
+
+    def _check_rows(self, j: int) -> list[tuple[int, int]]:
+        """(column, entry over d) for the nonzero basic entries of the rhs
+        (j = -1) or of column j; InvariantViolated unless they satisfy every
+        scaled input row, in ints: the safety net for the exact divisions."""
         d, n = self.d, self.n
-        # the nonzero basic entries, over d
         basic = [
             (b, row[j] * d // e)
             for row, b, e in zip(self.rows, self.basis, self.den)
@@ -219,14 +234,16 @@ class _Tableau:
             total = sum(ints[b] * v for b, v in basic)
             if total != (ints[-1] * d if j < 0 else ints[j] * d):
                 raise InvariantViolated("basic solution violates an input row")
+        return basic
 
 
 def _phase1(lp: LinearProgram) -> Optional[_Tableau]:
     """Find a basic feasible tableau, or None if the region is empty."""
     tab = _Tableau(lp)
-    # artificial i stands for s_i times the residual of row i, so costs
+    # the artificial of row i stands for s_i times its residual, so costs
     # 1 / s_i make the objective the plain residual sum
-    cost = [0] * lp.n + [Fraction(1, s) for s in tab.scale]
+    cost = [0] * lp.n
+    cost += [Fraction(1, s) for s, b in zip(tab.scale, tab.basis) if b >= lp.n]
     if tab.run(cost, range(tab.width)) is not None:
         raise InvariantViolated("phase-1 objective is bounded below by 0")
     if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= lp.n):
@@ -310,24 +327,27 @@ class WarmLP:
         tab = self.tab
         if tab is None:
             raise InfeasibleRegion("support profile of an empty region")
-        witnesses = [tab.solution()]
-        flags = [x > 0 for x in witnesses[0]]
+        # each witness as its nonzero coordinates in ints over its d
+        witnesses = [(tab.d, tab.witness(None))]
+        flags = [j in witnesses[0][1] for j in range(self.lp.n)]
         while uncovered := [j for j in allowed if not flags[j]]:
             cost = [0] * tab.width
             for j in uncovered:
                 cost[j] = -1
-            enter = tab.run(cost, allowed)
-            witness = tab.solution()
-            if enter is not None:
-                witness = [p + d for p, d in zip(witness, tab.ray(enter))]
-            new = [j for j in uncovered if witness[j] > 0]
+            witness = tab.witness(tab.run(cost, allowed))
+            # every positive coordinate is allowed: basic, or the entering one
+            new = [j for j, v in witness.items() if v > 0 and not flags[j]]
             if not new:
                 break
             for j in new:
                 flags[j] = True
-            witnesses.append(witness)
-        k = Fraction(len(witnesses))
-        point = [sum((w[i] for w in witnesses), ZERO) / k for i in range(self.lp.n)]
+            witnesses.append((tab.d, witness))
+        lcm = math.lcm(*(d for d, _ in witnesses))
+        total = [0] * self.lp.n
+        for d, witness in witnesses:
+            for j, v in witness.items():
+                total[j] += v * (lcm // d)
+        point = [Fraction(t, lcm * len(witnesses)) if t else ZERO for t in total]
         return point, flags
 
 

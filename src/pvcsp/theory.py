@@ -15,6 +15,7 @@ so measure equality is table-wise comparison.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -422,33 +423,42 @@ def _candidate_measure(
 
     A constraint (symbol, points, rhs) has a finite rhs; an op's image of it
     is the symbol's Gamma-cost of the op applied at each point.  Each op's
-    coefficient column is built once; an op with a +inf image can carry no
-    weight and is dropped at the first one.  Ops with identical columns are
-    interchangeable, so the LP has one column per distinct column, taken by
-    its first op, plus a slack per constraint: a pure feasibility solve.
+    column is built once, as small ints that index Gamma's distinct costs;
+    an op with a +inf image can carry no weight and is dropped at the first
+    one.  Ops with identical columns are interchangeable, so the LP has one
+    column per distinct column, taken by its first op, plus a slack per
+    constraint: a pure feasibility solve, in ints.  Each constraint row is
+    scaled by its lcm, so its slack is 1 and starts basic when rhs >= 0.
     """
-    tables = [gamma.table(symbol) for symbol, _, _ in constraints]
-    reps: dict[tuple, OperationTable] = {}
+    ids: dict = {PLUS_INF: -1}  # +inf is -1, a finite cost its position
+    tables = [
+        {args: ids.setdefault(c, len(ids)) for args, c in gamma.table(symbol).items()}
+        for symbol, _, _ in constraints
+    ]
+    reps: dict[tuple[int, ...], OperationTable] = {}
     for g in ops:
         apply = g.as_dict()
         column = []
         for table, (_, points, _) in zip(tables, constraints):
-            cost = table[tuple(apply[p] for p in points)]
-            if cost is PLUS_INF:
+            c = table[tuple(apply[p] for p in points)]
+            if c < 0:
                 break
-            column.append(cost)
+            column.append(c)
         else:
             reps.setdefault(tuple(column), g)
     if not reps:
         return NONE_EXISTS
+    costs = list(ids)
     n, k = len(reps), len(constraints)
-    rows = [[Fraction(1)] * n + [Fraction(0)] * k]
-    for j in range(k):
-        row = [column[j] for column in reps] + [Fraction(0)] * k
-        row[n + j] = Fraction(1)
-        rows.append(row)
-    rhs = [Fraction(1)] + [bound for _, _, bound in constraints]
-    lp = exactlp.LinearProgram(n + k, rows, rhs, [Fraction(0)] * (n + k))
+    rows, rhs = [[1] * n + [0] * k], [1]
+    for j, (entries, (_, _, bound)) in enumerate(zip(zip(*reps), constraints)):
+        used = {c: costs[c] for c in set(entries)}
+        s = math.lcm(bound.denominator, *(x.denominator for x in used.values()))
+        scaled = {c: x.numerator * (s // x.denominator) for c, x in used.items()}
+        rows.append([scaled[c] for c in entries] + [0] * k)
+        rows[-1][n + j] = 1
+        rhs.append(bound.numerator * (s // bound.denominator))
+    lp = exactlp.LinearProgram(n + k, rows, rhs, [0] * (n + k))
     res = exactlp.solve_lp(lp)
     if res.status != exactlp.OPTIMAL:
         return NONE_EXISTS

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -293,6 +294,110 @@ def test_rational_unbounded_ray():
     assert res.status == UNBOUNDED
     assert res.ray == [F(1), F(3, 4)]
     assert res.point[0] / 2 - res.point[1] * 2 / 3 == F(-1, 3)
+
+
+# a row's own column: the kinds whose scaled entry is 1 start basic
+UNIT_KINDS = ("unit", "scaled", "negflip")
+SLACK_KINDS = UNIT_KINDS + ("two", "flipped", "shared", "none")
+
+
+def slack_form_lp(rng):
+    """A bounded region in slack form, one column of each row's kind after
+    the structural ones.  A unit column is 1 in its int row; a scaled one
+    is 1 / L, L the lcm of the row's denominators; a negflip one is -1 / L in a
+    row with a negative rhs, +1 once the row is flipped.  Look-alikes: 2 / L
+    (two), 1 / L in a flipped row (flipped), 1 / L with a nonzero in another
+    row too (shared); a none row is an equality.  Row 0 has positive
+    coefficients, so x and with it every row's column are bounded; row 1
+    has nonzero ones, so no structural column is a unit column.  Sometimes
+    a redundant row, a rational multiple of the sum of two rows, takes the
+    unit columns of both.  Returns the program, the expected start basis
+    column of each row (None for an artificial) and the rows' kinds."""
+    nx = rng.randint(2, 3)
+    m = rng.randint(2, 4)
+
+    def q(lo, hi, nonzero=False):
+        while True:
+            a = F(rng.randint(lo, hi), rng.choice([1, 2, 3, 4, 6]))
+            if a or not nonzero:
+                return a
+
+    rows, rhs, kinds = [], [], []
+    for i in range(m):
+        kind = rng.choice(("unit", "scaled", "two", "none") if i == 0 else SLACK_KINDS)
+        rows.append([q(1, 4) if i == 0 else q(-3, 3, nonzero=i == 1) for _ in range(nx)])
+        if kind in ("negflip", "flipped"):
+            rhs.append(q(-3, -1, nonzero=True))
+        else:
+            rhs.append(q(1, 6, nonzero=True) if i == 0 else rng.choice([Z, q(1, 3)]))
+        kinds.append(kind)
+    own = [i for i in range(m) if kinds[i] != "none"]
+    for i, row in enumerate(rows):
+        lcm = math.lcm(rhs[i].denominator, *(a.denominator for a in row))
+        if kinds[i] == "unit":  # an int row, so its column is 1 as given
+            rows[i] = row = [a * lcm for a in row]
+            rhs[i] *= lcm
+            lcm = 1
+        num = {"two": 2, "negflip": -1}.get(kinds[i], 1)
+        row.extend(F(num, lcm) if k == i else Z for k in own)
+    for i in own:
+        if kinds[i] == "shared":
+            rows[rng.choice([k for k in range(m) if k != i])][nx + own.index(i)] = F(1)
+    expected = [nx + own.index(i) if kinds[i] in UNIT_KINDS else None for i in range(m)]
+    if m > 2 and rng.random() < 0.4:
+        a, b = rng.sample(range(m), 2)
+        k = F(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 3]))
+        rows.append([k * (x + y) for x, y in zip(rows[a], rows[b])])
+        rhs.append(k * (rhs[a] + rhs[b]))
+        expected[a] = expected[b] = None
+        expected.append(None)
+    n = nx + len(own)
+    prog = LinearProgram(n, rows, rhs, [q(-3, 3) for _ in range(n)])
+    return prog, expected, kinds
+
+
+def test_crash_basis_matches_vertex_enumeration():
+    # a row starts from its unit column, and only the others get an
+    # artificial; the optimum and both supports are as before
+    rng = random.Random(29)
+    checked = 0
+    seen = set()
+    for _ in range(280):
+        prog, expected, kinds = slack_form_lp(rng)
+        tab = exactlp._Tableau(prog)
+        assert [b if b < prog.n else None for b in tab.basis] == expected
+        assert tab.width == prog.n + expected.count(None) and tab.d == 1
+        vertices = enumerate_vertices(prog)
+        if not vertices:
+            assert solve_lp(prog).status == INFEASIBLE
+            continue
+        checked += 1
+        seen.update(kinds)
+        assert_warm_matches_vertices(prog, vertices)
+    assert checked >= 150
+    assert seen == set(SLACK_KINDS)
+
+
+def test_all_slack_program_makes_no_phase1_pivot(monkeypatch):
+    # x + y + s1 = 2, x - y + s2 / 3 = 1/3, 2y + s3 = 0: rhs >= 0 and, once
+    # the second row is scaled by 3, the slacks are a feasible basis, so
+    # phase 1 has nothing to do
+    prog = LinearProgram(
+        5,
+        [[1, 1, 1, 0, 0], [1, -1, 0, F(1, 3), 0], [0, 2, 0, 0, 1]],
+        [2, F(1, 3), 0],
+        [-1, -1, 0, 0, 0],
+    )
+    pivots = []
+    original = exactlp._Tableau.pivot
+    monkeypatch.setattr(
+        exactlp._Tableau, "pivot", lambda tab, r, c: pivots.append(c) or original(tab, r, c)
+    )
+    warm = WarmLP(prog)
+    assert pivots == [] and warm.tab.basis == [2, 3, 4] and warm.tab.width == 5
+    res = warm.minimise()
+    assert res.status == OPTIMAL and res.value == F(-1, 3) and pivots
+    assert_warm_matches_vertices(prog, enumerate_vertices(prog))
 
 
 def test_basic_solutions_checked_in_ints_under_optimise_flag():

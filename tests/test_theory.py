@@ -485,6 +485,66 @@ def test_find_fpol_projections_cover_crisp_templates():
     assert omega != NONE_EXISTS
 
 
+def shift_symbol(structure, symbol, c):
+    """Every cost of one symbol moved by c (+inf stays +inf)."""
+    tables = {}
+    for name in structure.signature.names():
+        shift = c if name == symbol else 0
+        tables[name] = {t: v + shift for t, v in structure.table(name).items()}
+    return ValuedStructure(structure.signature, structure.domain, tables)
+
+
+SHIFT_SEARCHES = (
+    lambda tpl: find_promise_fpol_lp(tpl, 2, partition=BlockPartition.from_sizes([2])),
+    lambda tpl: find_promise_fpol_lp(tpl, 2),
+    lambda tpl: find_frachom_lp(tpl.delta, tpl.gamma),
+)
+
+
+def valid_on(result, template):
+    if isinstance(result, PromiseFpol):
+        return check_promise_fpol(result, template)[0]
+    return check_fractional_homomorphism(result, template.delta, template.gamma)[0]
+
+
+def test_witness_search_invariant_under_cost_shift():
+    # Shifting one symbol's Delta and Gamma costs by c moves both sides of
+    # each of its constraints by c, the weights summing to 1, so the
+    # searches' verdicts agree, and a measure valid on one template is
+    # valid on the other.  A negative c makes negative right-hand sides:
+    # rows whose slack is -1 once flipped and that still need an artificial.
+    rng = random.Random(61)
+    pool = [F(0), F(1, 2), F(1), F(2), PLUS_INF]
+    found = {True: 0, False: 0}
+    negative = 0
+    for _ in range(40):
+        delta = generators.random_structure(rng)
+        if rng.random() < 0.5:
+            gamma = generators.weaken_structure(rng, delta)
+        else:
+            tables = {
+                name: {t: rng.choice(pool) for t in delta.tuples(name)}
+                for name in delta.signature.names()
+            }
+            gamma = ValuedStructure(delta.signature, delta.domain, tables)
+        symbol = rng.choice(delta.signature.names())
+        c = F(-rng.randint(1, 6), rng.choice([1, 2, 3]))
+        shifted = PromiseTemplate(
+            shift_symbol(delta, symbol, c), shift_symbol(gamma, symbol, c)
+        )
+        templates = [PromiseTemplate(delta, gamma), shifted]
+        negative += any(v < 0 for v in shifted.delta.table(symbol).values())
+        for search in SHIFT_SEARCHES:
+            results = [search(tpl) for tpl in templates]
+            none = [r == NONE_EXISTS for r in results]
+            assert none[0] == none[1]
+            found[none[0]] += 1
+            for r in results:
+                if r != NONE_EXISTS:
+                    assert valid_on(r, templates[0]) and valid_on(r, templates[1])
+    assert min(found.values()) >= 10 and negative >= 30
+
+
 def test_find_fpol_needs_positive_arity():
     xor = generators.xor_structure()
     template = PromiseTemplate(xor, xor)
