@@ -199,10 +199,17 @@ class OperationTable:
         return cached
 
 
-@dataclass(frozen=True, slots=True)
+# every live measure built by FiniteMeasure.from_pairs, by its weights:
+# witness searches over small domains return few distinct measures, so the
+# measures that callers keep share them, as they share tables
+_MEASURES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True)
 class FiniteMeasure:
     """Finitely supported probability measure with positive rational weights."""
 
+    __slots__ = ("weights", "__weakref__")
     weights: tuple[tuple[object, Fraction], ...]
 
     def __post_init__(self):
@@ -227,7 +234,8 @@ class FiniteMeasure:
                 acc[elem] = Fraction(0)
                 order.append(elem)
             acc[elem] += w
-        return cls(tuple((e, acc[e]) for e in order if acc[e] > 0))
+        measure = cls(tuple((e, acc[e]) for e in order if acc[e] > 0))
+        return _MEASURES.setdefault(measure.weights, measure)
 
     @classmethod
     def point_mass(cls, element) -> "FiniteMeasure":

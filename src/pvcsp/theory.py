@@ -6,6 +6,9 @@ A fractional homomorphism Delta -> Gamma is the unary promise fractional
 polymorphism with input weight 1, and an unrestricted m-ary search is the
 block-symmetric one over m singleton blocks; so there is one polymorphism
 check and one polymorphism search, and the homomorphism ones run them.
+The search works on block-multiset elements: a candidate is its tuple of
+outputs, one per element, constraints with the same element tuple share
+one LP row with the least rhs, and tables are built only for the support.
 
 Every checker is a full exhaustive enumeration guarded by a hard cap;
 exactness over scale.  Measures collapse equal tables by summing weights,
@@ -14,8 +17,10 @@ so measure equality is table-wise comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -94,9 +99,13 @@ class PromiseFpol:
 
     @classmethod
     def uniform_input(cls, output: FiniteMeasure) -> "PromiseFpol":
-        gs = output.support()
-        m = gs[0].arity
-        return cls(tuple([Fraction(1, m)] * m), output)
+        return cls(_uniform_weights(output.support()[0].arity), output)
+
+
+@functools.cache
+def _uniform_weights(m: int) -> tuple[Fraction, ...]:
+    """One shared weight tuple per arity: Fractions are immutable."""
+    return (Fraction(1, m),) * m
 
 
 FractionalHomomorphism = FiniteMeasure  # arity-1 operation tables
@@ -392,66 +401,76 @@ def compose_sampling_fpol(
     return PromiseFpol.uniform_input(FiniteMeasure.from_pairs(pairs))
 
 
-def _block_symmetric_operations(
-    in_domain, out_domain, partition: BlockPartition, cap: int
-) -> list[OperationTable]:
-    """Only the multiset-respecting tables: one free value per block-multiset
-    tuple, expanded to a full table.  Over singleton blocks that is every
-    table, in the lexicographic order of its outputs."""
-    elements = block_multiset_domain(in_domain, partition)
-    count = len(out_domain) ** len(elements)
+def _search(
+    template: PromiseTemplate, partition: BlockPartition, cap: int
+) -> Union[FiniteMeasure, str]:
+    """The output measure of a uniform-input polymorphism whose support is
+    block-symmetric over the partition, or NONE_EXISTS.
+
+    A candidate is its tuple of outputs, one per block-multiset element, in
+    lexicographic order (over singleton blocks: every table).  A constraint,
+    m argument tuples of a symbol with a finite input-weighted Delta-cost as
+    rhs, applies the operation at each position, so its image depends only
+    on each position's element: one row per (symbol, element tuple) keeps
+    the least rhs.  Column entries are small ints indexing Gamma's distinct
+    costs; a candidate with a +inf image is dropped, and equal columns are
+    kept once, by their first candidate.  With a slack per row, scaled by
+    the row's lcm so that the slack is 1, the LP is a pure feasibility solve
+    in ints.  Tables are built only for the support of its solution.
+    """
+    delta, gamma = template.delta, template.gamma
+    elements = block_multiset_domain(delta.domain, partition)
+    count = len(gamma.domain) ** len(elements)
     if count > cap:
         raise ResourceGuard(f"{count} block-symmetric tables exceed cap {cap}")
     m = partition.arity
-    points = list(itertools.product(in_domain, repeat=m))
-    keys = [_block_element(a, partition, in_domain) for a in points]
-    ops = []
-    for outputs in itertools.product(out_domain, repeat=len(elements)):
-        value = dict(zip(elements, outputs))
-        mapping = {a: value[key] for a, key in zip(points, keys)}
-        ops.append(OperationTable.from_map(in_domain, out_domain, m, mapping))
-    return ops
-
-
-def _candidate_measure(
-    ops: list[OperationTable],
-    gamma: ValuedStructure,
-    constraints: list[tuple[str, tuple[tuple[str, ...], ...], Fraction]],
-) -> Union[FiniteMeasure, str]:
-    """Solve: weights >= 0 on the ops that hit no +inf on a constraint,
-    sum = 1, and the expected image cost of each constraint <= its rhs.
-
-    A constraint (symbol, points, rhs) has a finite rhs; an op's image of it
-    is the symbol's Gamma-cost of the op applied at each point.  Each op's
-    column is built once, as small ints that index Gamma's distinct costs;
-    an op with a +inf image can carry no weight and is dropped at the first
-    one.  Ops with identical columns are interchangeable, so the LP has one
-    column per distinct column, taken by its first op, plus a slack per
-    constraint: a pure feasibility solve, in ints.  Each constraint row is
-    scaled by its lcm, so its slack is 1 and starts basic when rhs >= 0.
-    """
+    work = sum(len(delta.domain) ** (a * m) for _, a in delta.signature.symbols)
+    if work * max(1, count) > cap:
+        raise ResourceGuard("polymorphism search exceeds cap")
+    index = {e: i for i, e in enumerate(elements)}
+    points = list(itertools.product(delta.domain, repeat=m))
+    element_of = {
+        a: index[_block_element(a, partition, delta.domain)] for a in points
+    }
+    # (symbol, element of each position) -> least Delta-cost sum of the m
+    # argument tuples; the rhs is that sum over m
+    sums: dict[tuple[str, tuple[int, ...]], Fraction] = {}
+    for symbol, arity in delta.signature.symbols:
+        base = delta.table(symbol)
+        for tuples in itertools.product(delta.tuples(symbol), repeat=m):
+            costs = [base[t] for t in tuples]
+            if any(c is PLUS_INF for c in costs):
+                continue
+            key = (symbol, tuple([element_of[p] for p in zip(*tuples)]))
+            total = sum(costs, Fraction(0))
+            if key not in sums or total < sums[key]:
+                sums[key] = total
     ids: dict = {PLUS_INF: -1}  # +inf is -1, a finite cost its position
-    tables = [
-        {args: ids.setdefault(c, len(ids)) for args, c in gamma.table(symbol).items()}
-        for symbol, _, _ in constraints
+    outs = range(len(gamma.domain))
+    cost_ids = {}  # per symbol, keyed as a row's itemgetter reads the outputs
+    for symbol, arity in delta.signature.symbols:
+        table = gamma.table(symbol)
+        cost_ids[symbol] = {
+            (key[0] if arity == 1 else key): ids.setdefault(
+                table[tuple(gamma.domain[b] for b in key)], len(ids)
+            )
+            for key in itertools.product(outs, repeat=arity)
+        }
+    readers = [
+        (cost_ids[symbol], operator.itemgetter(*elems)) for symbol, elems in sums
     ]
-    reps: dict[tuple[int, ...], OperationTable] = {}
-    for g in ops:
-        apply = g.as_dict()
-        column = []
-        for table, (_, points, _) in zip(tables, constraints):
-            c = table[tuple(apply[p] for p in points)]
-            if c < 0:
-                break
-            column.append(c)
-        else:
-            reps.setdefault(tuple(column), g)
+    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for outputs in itertools.product(outs, repeat=len(elements)):
+        column = tuple([table[read(outputs)] for table, read in readers])
+        if -1 not in column:
+            reps.setdefault(column, outputs)
     if not reps:
         return NONE_EXISTS
     costs = list(ids)
-    n, k = len(reps), len(constraints)
+    n, k = len(reps), len(sums)
     rows, rhs = [[1] * n + [0] * k], [1]
-    for j, (entries, (_, _, bound)) in enumerate(zip(zip(*reps), constraints)):
+    for j, (entries, total) in enumerate(zip(zip(*reps), sums.values())):
+        bound = total / m
         used = {c: costs[c] for c in set(entries)}
         s = math.lcm(bound.denominator, *(x.denominator for x in used.values()))
         scaled = {c: x.numerator * (s // x.denominator) for c, x in used.items()}
@@ -462,36 +481,13 @@ def _candidate_measure(
     res = exactlp.solve_lp(lp)
     if res.status != exactlp.OPTIMAL:
         return NONE_EXISTS
-    return FiniteMeasure.from_pairs(
-        (g, x) for g, x in zip(reps.values(), res.point) if x > 0
-    )
-
-
-def _search(
-    template: PromiseTemplate, partition: BlockPartition, cap: int
-) -> Union[FiniteMeasure, str]:
-    """The output measure of a uniform-input polymorphism whose support is
-    block-symmetric over the partition, or NONE_EXISTS."""
-    delta, gamma = template.delta, template.gamma
-    ops = _block_symmetric_operations(delta.domain, gamma.domain, partition, cap)
-    m = partition.arity
-    inv_m = Fraction(1, m)
-    sym_tuples = []
-    for symbol, arity in delta.signature.symbols:
-        for tuples in itertools.product(
-            itertools.product(delta.domain, repeat=arity), repeat=m
-        ):
-            rhs = _expected_cost(delta, symbol, [(t, inv_m) for t in tuples])
-            sym_tuples.append((symbol, tuples, rhs))
-    if len(sym_tuples) * max(1, len(ops)) > cap:
-        raise ResourceGuard("polymorphism search exceeds cap")
-    # the image of m argument tuples applies g at each position's m-tuple
-    constraints = [
-        (symbol, tuple(zip(*tuples)), rhs)
-        for symbol, tuples, rhs in sym_tuples
-        if rhs is not PLUS_INF
-    ]
-    return _candidate_measure(ops, gamma, constraints)
+    pairs = []
+    for outputs, x in zip(reps.values(), res.point):
+        if x > 0:
+            mapping = {a: gamma.domain[outputs[element_of[a]]] for a in points}
+            g = OperationTable.from_map(delta.domain, gamma.domain, m, mapping)
+            pairs.append((g, x))
+    return FiniteMeasure.from_pairs(pairs)
 
 
 def find_frachom_lp(

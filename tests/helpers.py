@@ -1,13 +1,21 @@
-"""Independent oracles used by the tests: vertex enumeration for LPs and
-box enumeration for integer systems.  These never share code with the
-solver paths they check."""
+"""Independent oracles used by the tests: vertex enumeration for LPs, box
+enumeration for integer systems, a dense HNF and a table-level witness
+search.  These never share code with the solver paths they check; the
+witness-search reference shares only the LP solver, which has its own
+oracle above."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from pvcsp import exactlp
+from pvcsp.core import FiniteMeasure, OperationTable, tuple_to_multiset
+from pvcsp.theory import NONE_EXISTS, block_multiset_domain
+from pvcsp.values import PLUS_INF
 
 ZERO = Fraction(0)
 
@@ -214,3 +222,66 @@ def gf2_satisfiable(equations):
             if parity:
                 return False
     return True
+
+
+def block_symmetric_tables(in_domain, out_domain, partition):
+    """Every block-symmetric table, expanded in full: one free value per
+    block-multiset element, in the lexicographic order of the outputs."""
+    elements = block_multiset_domain(in_domain, partition)
+    m = partition.arity
+    points = list(itertools.product(in_domain, repeat=m))
+    keys = [
+        tuple(
+            tuple_to_multiset([a[i] for i in block], in_domain)
+            for block in partition.blocks
+        )
+        for a in points
+    ]
+    ops = []
+    for outputs in itertools.product(out_domain, repeat=len(elements)):
+        value = dict(zip(elements, outputs))
+        mapping = {a: value[key] for a, key in zip(points, keys)}
+        ops.append(OperationTable.from_map(in_domain, out_domain, m, mapping))
+    return ops
+
+
+def table_reference_search(template, partition):
+    """Reference block-symmetric witness search over full tables: one LP
+    row per finite constraint (m argument tuples of a symbol), unmerged;
+    each table applied at every point; a column per distinct coefficient
+    tuple, first table first.  Returns (output measure or NONE_EXISTS,
+    number of LP rows or None when no LP was solved)."""
+    delta, gamma = template.delta, template.gamma
+    m = partition.arity
+    ops = block_symmetric_tables(delta.domain, gamma.domain, partition)
+    constraints = []
+    for symbol, arity in delta.signature.symbols:
+        for tuples in itertools.product(delta.tuples(symbol), repeat=m):
+            costs = [delta.cost(symbol, t) for t in tuples]
+            if all(c is not PLUS_INF for c in costs):
+                rhs = sum(costs, Fraction(0)) / m
+                constraints.append((symbol, tuple(zip(*tuples)), rhs))
+    reps = {}
+    for g in ops:
+        column = [
+            gamma.cost(symbol, tuple(g.apply(p) for p in points))
+            for symbol, points, _ in constraints
+        ]
+        if all(c is not PLUS_INF for c in column):
+            reps.setdefault(tuple(column), g)
+    if not reps:
+        return NONE_EXISTS, None
+    n, k = len(reps), len(constraints)
+    rows, rhs = [[1] * n + [0] * k], [1]
+    for j, (entries, (_, _, bound)) in enumerate(zip(zip(*reps), constraints)):
+        s = math.lcm(bound.denominator, *(x.denominator for x in entries))
+        rows.append([x.numerator * (s // x.denominator) for x in entries] + [0] * k)
+        rows[-1][n + j] = 1
+        rhs.append(bound.numerator * (s // bound.denominator))
+    res = exactlp.solve_lp(exactlp.LinearProgram(n + k, rows, rhs, [0] * (n + k)))
+    if res.status != exactlp.OPTIMAL:
+        return NONE_EXISTS, len(rows)
+    measure = FiniteMeasure.from_pairs(
+        (g, x) for g, x in zip(reps.values(), res.point) if x > 0
+    )
+    return measure, len(rows)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,10 @@ import pytest
 from pvcsp import generators
 from pvcsp.core import (
     GAP,
+    FiniteMeasure,
     Instance,
     NO,
+    OperationTable,
     PromiseTemplate,
     Signature,
     Term,
@@ -181,3 +185,20 @@ def test_infinity_iff_outside_dom():
                 for t in inst.terms
             )
             assert (cost is PLUS_INF) == outside
+
+
+def test_equal_measures_are_one_object():
+    # from_pairs returns the live measure with the same weights, so kept
+    # witness measures share one object each; a dropped one is released
+    g = OperationTable.from_callable(D01, D01, 2, lambda a, b: min(a, b))
+    h = OperationTable.from_callable(D01, D01, 2, lambda a, b: a)
+    half = Fraction(1, 2)
+    first = FiniteMeasure.from_pairs([(g, half), (h, Fraction(1, 4)), (h, Fraction(1, 4))])
+    second = FiniteMeasure.from_pairs([(g, Fraction(1, 2)), (h, half)])
+    assert second is first and first.weights == ((g, half), (h, half))
+    other = FiniteMeasure.from_pairs([(h, half), (g, half)])
+    assert other is not first and other != first
+    released = weakref.ref(other)
+    del other
+    gc.collect()
+    assert released() is None

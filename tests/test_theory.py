@@ -3,8 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from helpers import table_reference_search
 
-from pvcsp import generators, theory
+from pvcsp import exactlp, generators, theory
 from pvcsp.core import (
     FiniteMeasure,
     Instance,
@@ -543,6 +544,137 @@ def test_witness_search_invariant_under_cost_shift():
                 if r != NONE_EXISTS:
                     assert valid_on(r, templates[0]) and valid_on(r, templates[1])
     assert min(found.values()) >= 10 and negative >= 30
+
+
+def reference_template(rng, domain_size, allow_inf, n_symbols=2):
+    """A random Delta with a Gamma either weakened from it or drawn afresh
+    from a pool with +inf, so both verdicts occur."""
+    delta = generators.random_structure(rng, domain_size, n_symbols, allow_inf=allow_inf)
+    if rng.random() < 0.5:
+        return PromiseTemplate(delta, generators.weaken_structure(rng, delta))
+    pool = [F(0), F(1, 2), F(1), F(2), PLUS_INF]
+    tables = {
+        name: {t: rng.choice(pool) for t in delta.tuples(name)}
+        for name in delta.signature.names()
+    }
+    return PromiseTemplate(
+        delta, ValuedStructure(delta.signature, delta.domain, tables)
+    )
+
+
+# (arity m, block sizes, domain size, symbols): m None is frachom, sizes
+# None the unrestricted search
+REFERENCE_SHAPES = (
+    (2, (2,), 2, 2), (2, (1, 1), 2, 2), (3, (3,), 2, 2), (3, (2, 1), 2, 2),
+    (2, None, 2, 2), (None, None, 2, 2), (2, (2,), 3, 1),
+)
+
+
+def test_element_search_matches_table_reference():
+    # The element-level search merges rows with one key and never builds a
+    # losing table; the full-table search with one row per constraint must
+    # reach the same verdict, and every measure found must be valid.
+    rng = random.Random(67)
+    verdicts = {True: 0, False: 0}
+    for case in range(210):
+        m, sizes, d, symbols = REFERENCE_SHAPES[case % len(REFERENCE_SHAPES)]
+        template = reference_template(rng, d, rng.random() < 0.5, symbols)
+        if m is None:
+            partition = BlockPartition(((0,),))
+            found = find_frachom_lp(template.delta, template.gamma)
+        else:
+            partition = BlockPartition.from_sizes(sizes or (1,) * m)
+            found = find_promise_fpol_lp(
+                template, m, partition=partition if sizes else None
+            )
+        expected, _ = table_reference_search(template, partition)
+        none = found == NONE_EXISTS
+        assert none == (expected == NONE_EXISTS), (case, m, sizes, d)
+        verdicts[none] += 1
+        if none:
+            continue
+        if m is None:
+            assert check_fractional_homomorphism(
+                found, template.delta, template.gamma
+            )[0]
+        else:
+            assert check_promise_fpol(found, template)[0]
+            for g in found.output.support():
+                assert check_block_symmetry(g, partition)
+    assert min(verdicts.values()) >= 30
+
+
+def count_from_map(monkeypatch):
+    calls = []
+    original = OperationTable.from_map.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(OperationTable, "from_map", classmethod(counting))
+    return calls
+
+
+def test_search_builds_tables_only_for_the_support(monkeypatch):
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(30):
+        template = reference_template(rng, 2, allow_inf=True)
+        for m, partition in ((3, None), (3, BlockPartition.from_sizes([3]))):
+            calls = count_from_map(monkeypatch)
+            found = find_promise_fpol_lp(template, m, partition=partition)
+            monkeypatch.undo()
+            if found == NONE_EXISTS:
+                assert calls == []
+            else:
+                assert 1 <= len(calls) <= len(found.output.support())
+            outcomes.add(found == NONE_EXISTS)
+    assert outcomes == {True, False}
+
+
+def capture_lps(monkeypatch):
+    lps = []
+    original = exactlp.solve_lp
+
+    def capturing(lp, *args, **kwargs):
+        lps.append(lp)
+        return original(lp, *args, **kwargs)
+
+    monkeypatch.setattr(exactlp, "solve_lp", capturing)
+    return lps
+
+
+def test_search_merges_rows_by_element_tuple(monkeypatch):
+    rng = random.Random(79)
+    lps = capture_lps(monkeypatch)
+    for _ in range(10):
+        # one binary symbol on domain 2: [3] has 4 elements, so at most 4^2
+        # element tuples, plus the normalisation row
+        delta = generators.random_structure(rng, n_symbols=1, allow_inf=False)
+        while delta.signature.symbols[0][1] != 2:
+            delta = generators.random_structure(rng, n_symbols=1, allow_inf=False)
+        template = PromiseTemplate(delta, generators.weaken_structure(rng, delta))
+        lps.clear()
+        find_promise_fpol_lp(template, 3, partition=BlockPartition.from_sizes([3]))
+        (lp,) = lps
+        assert len(lp.rows) <= 1 + 4**2 < 1 + 2**6
+        # singleton blocks: no two constraints share an element tuple
+        lps.clear()
+        assert find_promise_fpol_lp(template, 2) != NONE_EXISTS
+        _, reference_rows = table_reference_search(
+            template, BlockPartition(((0,), (1,)))
+        )
+        assert len(lps[0].rows) == reference_rows == 1 + 2**4
+
+
+def test_uniform_input_shares_weights():
+    first = PromiseFpol.uniform_input(FiniteMeasure.point_mass(MIN2))
+    second = PromiseFpol.uniform_input(FiniteMeasure.point_mass(MAX2))
+    assert first.input_weights is second.input_weights
+    assert sum(first.input_weights) == 1 and first.input_weights == (F(1, 2),) * 2
+    third = PromiseFpol.uniform_input(FiniteMeasure.point_mass(IDENTITY))
+    assert third.input_weights == (F(1),)
 
 
 def test_find_fpol_needs_positive_arity():
