@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolated
@@ -39,14 +40,27 @@ def _identity(n: int) -> IntMatrix:
 Column = dict[int, int]
 
 
-def _addmul(dst: Column, src: Column, k: int) -> None:
-    """dst += k * src, dropping entries that cancel to zero."""
+def _addmul(
+    dst: Column, src: Column, k: int, where: Sequence[set[int]] = (), j: int = 0
+) -> None:
+    """dst += k * src for k != 0, dropping entries that cancel to zero.
+
+    where[i], for the rows i < len(where), is the set of ids of the
+    columns nonzero in row i; dst's id j joins it when dst's entry in row
+    i appears and leaves it when that entry cancels."""
+    m = len(where)
     for i, v in src.items():
-        w = dst.get(i, 0) + k * v
-        if w:
+        w = dst.get(i)
+        if w is None:
+            dst[i] = k * v
+            if i < m:
+                where[i].add(j)
+        elif w := w + k * v:
             dst[i] = w
         else:
             del dst[i]
+            if i < m:
+                where[i].discard(j)
 
 
 def _echelon(A: IntMatrix) -> tuple[list[Column], list[tuple[int, int]]]:
@@ -57,42 +71,51 @@ def _echelon(A: IntMatrix) -> tuple[list[Column], list[tuple[int, int]]]:
     is positive, and every column after it is zero in its row and above.
     Entries left of a pivot are not reduced (hermite_normal_form does
     that).  Each row is gcd-reduced over the columns not yet pivoted,
-    smallest absolute entry first, so the work follows the nonzeros.
+    least absolute entry first (the leftmost on a tie).
+
+    The work follows the nonzeros: where[r] holds the ids of the unpivoted
+    columns nonzero in H row r.  It is built once from A, kept by _addmul,
+    and a column leaves it on becoming a pivot, since pivot columns never
+    change again.  Columns keep their ids; a position permutation (order,
+    pos) stands in for swapping them, and they are returned in position
+    order.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     cols: list[Column] = [{m + j: 1} for j in range(n)]
+    where: list[set[int]] = []
     for r, row in enumerate(A):
-        for j, a in enumerate(row):
-            if a:
-                cols[j][r] = a
+        where.append(set(compress(range(n), row)))
+        for j in where[r]:
+            cols[j][r] = row[j]
+    order = list(range(n))
+    pos = list(range(n))
     pivots: list[tuple[int, int]] = []
     c = 0
     for r in range(m):
         if c >= n:
             break
+        nonzero = where[r]
+        if not nonzero:
+            continue
         while True:
-            nonzero = [j for j in range(c, n) if r in cols[j]]
-            if not nonzero:
+            j = min(nonzero, key=lambda k: (abs(cols[k][r]), pos[k]))
+            # swap positions c and pos[j]
+            p, i = pos[j], order[c]
+            order[c], order[p], pos[j], pos[i] = j, i, c, p
+            if len(nonzero) == 1:
                 break
-            j = min(nonzero, key=lambda k: abs(cols[k][r]))
-            cols[c], cols[j] = cols[j], cols[c]
-            pivot = cols[c]
-            done = True
-            # after the swap, only these positions can be nonzero in row r
-            for k in nonzero:
-                if k != c and r in cols[k]:
-                    _addmul(cols[k], pivot, -(cols[k][r] // pivot[r]))
-                    if r in cols[k]:
-                        done = False
-            if done:
-                break
-        if r in cols[c]:
-            if cols[c][r] < 0:
-                cols[c] = {i: -v for i, v in cols[c].items()}
-            pivots.append((r, c))
-            c += 1
-    return cols, pivots
+            pivot = cols[j]
+            for k in [k for k in nonzero if k != j]:
+                _addmul(cols[k], pivot, -(cols[k][r] // pivot[r]), where, k)
+        if cols[j][r] < 0:
+            cols[j] = {i: -v for i, v in cols[j].items()}
+        for i in cols[j]:
+            if i < m:
+                where[i].discard(j)
+        pivots.append((r, c))
+        c += 1
+    return [cols[j] for j in order], pivots
 
 
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -163,7 +186,10 @@ def solve_integer_system(
     kernel = cols[len(pivots):]
     if any(i < m for col in kernel for i in col):
         raise InvariantViolated("kernel column has a nonzero in H")
-    basis = [[col.get(m + i, 0) for i in range(n)] for col in kernel]
+    basis = [[0] * n for _ in kernel]
+    for v, col in zip(basis, kernel):
+        for i, a in col.items():
+            v[i - m] = a
     return AffineLattice(x0, basis, n)
 
 

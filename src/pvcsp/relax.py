@@ -167,9 +167,9 @@ def build_aip(delta: ValuedStructure, instance: Instance) -> AipProgram:
 
 
 def _aip_of(blp: BlpProgram) -> AipProgram:
-    """The AIP with the BLP's constraints, objective and columns."""
-    rows = [list(row) for row in blp.lp.rows]
-    return AipProgram(rows, list(blp.lp.rhs), blp.lp.objective, blp.index)
+    """The AIP with the BLP's constraints, objective and columns, shared
+    and not copied: no AIP step mutates its rows, rhs or objective."""
+    return AipProgram(blp.lp.rows, blp.lp.rhs, blp.lp.objective, blp.index)
 
 
 def blp_value(blp: BlpProgram) -> ExtVal:

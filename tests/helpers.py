@@ -1,8 +1,8 @@
 """Independent oracles used by the tests: vertex enumeration for LPs, box
-enumeration for integer systems, a dense HNF and a table-level witness
-search.  These never share code with the solver paths they check; the
-witness-search reference shares only the LP solver, which has its own
-oracle above."""
+enumeration for integer systems, a dense HNF, a scan-based column echelon
+form and a table-level witness search.  These never share code with the
+solver paths they check; the witness-search reference shares only the LP
+solver, which has its own oracle above."""
 
 from __future__ import annotations
 
@@ -182,6 +182,63 @@ def dense_hermite_normal_form(A):
                     addmul(k, c, -q)
             c += 1
     return H, U
+
+
+def scan_echelon(A, passes=None):
+    """Reference for lattice._echelon: the same column echelon form of A
+    with its unimodular transform, found by scanning every unpivoted
+    column of each row on every gcd pass and swapping columns in a list.
+
+    Returns the columns of [H; U] (dicts over the nonzero rows, U from row
+    len(A) on) and the pivots (row, column).  When passes is a list, the
+    number of gcd passes of each row with a nonzero is appended to it.
+    """
+
+    def addmul(dst, src, k):
+        for i, v in src.items():
+            w = dst.get(i, 0) + k * v
+            if w:
+                dst[i] = w
+            else:
+                del dst[i]
+
+    m = len(A)
+    n = len(A[0]) if m else 0
+    cols = [{m + j: 1} for j in range(n)]
+    for r, row in enumerate(A):
+        for j, a in enumerate(row):
+            if a:
+                cols[j][r] = a
+    pivots = []
+    c = 0
+    for r in range(m):
+        if c >= n:
+            break
+        count = 0
+        while True:
+            nonzero = [j for j in range(c, n) if r in cols[j]]
+            if not nonzero:
+                break
+            count += 1
+            j = min(nonzero, key=lambda k: abs(cols[k][r]))
+            cols[c], cols[j] = cols[j], cols[c]
+            pivot = cols[c]
+            done = True
+            for k in nonzero:
+                if k != c and r in cols[k]:
+                    addmul(cols[k], pivot, -(cols[k][r] // pivot[r]))
+                    if r in cols[k]:
+                        done = False
+            if done:
+                break
+        if passes is not None and count:
+            passes.append(count)
+        if r in cols[c]:
+            if cols[c][r] < 0:
+                cols[c] = {i: -v for i, v in cols[c].items()}
+            pivots.append((r, c))
+            c += 1
+    return cols, pivots
 
 
 def dense_solve_integer_system(A, b):

@@ -13,8 +13,9 @@ from helpers import (
     dense_hermite_normal_form,
     dense_solve_integer_system,
     gf2_satisfiable,
+    scan_echelon,
 )
-from pvcsp import generators
+from pvcsp import generators, lattice
 from pvcsp.core import Instance, Term
 from pvcsp.errors import DimensionMismatch
 from pvcsp.lattice import (
@@ -24,7 +25,7 @@ from pvcsp.lattice import (
     hermite_normal_form,
     solve_integer_system,
 )
-from pvcsp.relax import aip_value, build_aip
+from pvcsp.relax import aip_value, build_aip, combined_solve
 from pvcsp.values import MINUS_INF, PLUS_INF, is_finite
 
 
@@ -260,6 +261,77 @@ def test_echelon_matches_dense_reference():
             for v in lat.kernel_basis:
                 assert sum(a * x for a, x in zip(row, v)) == 0
     assert 0 < infeasible < len(systems)
+
+
+def echelon_inputs(rng, count):
+    """Seeded matrices for the echelon: entries up to 1, 3 or 9 in absolute
+    value, densities 0.1 to 1, up to 12 rows and columns; one in five each
+    has a zero row, a zero column, a duplicate column, or a row that is a
+    combination of others."""
+    mats = []
+    for t in range(count):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        k = rng.choice((1, 3, 9))
+        density = rng.choice((0.1, 0.25, 0.5, 0.75, 1.0))
+        A = [
+            [rng.randint(-k, k) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        if t % 5 == 1:
+            A[rng.randrange(m)] = [0] * n
+        elif t % 5 == 2:
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = 0
+        elif t % 5 == 3 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            for row in A:
+                row[j] = row[i]
+        elif t % 5 == 4 and m > 1:
+            i, l, j = rng.sample(range(m), 3) if m > 2 else (0, 0, 1)
+            p, q = rng.choice((-2, -1, 1, 2)), rng.choice((-1, 0, 1))
+            A[j] = [p * a + q * b for a, b in zip(A[i], A[l])]
+        mats.append(A)
+    return mats
+
+
+def test_indexed_echelon_matches_scan(monkeypatch):
+    """lattice._echelon follows the nonzeros through a row index; its raw
+    output (unreduced entries, U, column order, pivots) is the scan's."""
+    rng = random.Random(23)
+    mats = echelon_inputs(rng, 600)
+    assert any(len(A) > len(A[0]) for A in mats)
+    assert any(len(A) < len(A[0]) for A in mats)
+    passes = []
+    for A in mats:
+        assert lattice._echelon(A) == scan_echelon(A, passes)
+    assert max(passes) > 2
+    for k in range(15):
+        A = build_aip(XOR, xor_instance(rng, 20 + 40 * k // 14, k % 2 == 0)[0]).rows
+        assert lattice._echelon(A) == scan_echelon(A)
+    # the refined AIPs that combined_solve builds
+    refined = []
+    echelon = lattice._echelon
+
+    def capture(A):
+        refined.append([row[:] for row in A])
+        return echelon(A)
+
+    monkeypatch.setattr(lattice, "_echelon", capture)
+    structures = [
+        XOR,
+        generators.horn_structure(),
+        generators.submodular_structure(rng),
+        generators.random_structure(rng, 2),
+        generators.random_structure(rng, 3),
+    ]
+    for k in range(80):
+        delta = structures[k % len(structures)]
+        combined_solve(delta, generators.random_instance(rng, delta, 8, 8))
+    monkeypatch.undo()
+    assert len(refined) >= 20
+    for A in refined:
+        assert lattice._echelon(A) == scan_echelon(A)
 
 
 def test_xor_aip_finite_iff_parity_satisfiable():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pvcsp import generators
+from pvcsp import generators, relax
 from pvcsp.core import (
     GAP,
     Instance,
@@ -271,6 +271,26 @@ def test_refine_aip_drops_zero_columns():
     refined = refine_aip(aip, star)
     assert len(refined.index.columns) == sum(1 for v in star.values if v > 0)
     assert len(refined.rows[0]) == len(refined.index.columns)
+
+
+def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
+    # the AIP holds the BLP's own rows and rhs; no AIP step may mutate them
+    ins = inst(
+        ["x", "y", "z"],
+        [("xor1", ["x", "y"]), ("xor0", ["y", "z"]), ("xor1", ["x", "z"])],
+        0,
+    )
+    blp = build_blp(XOR, ins)
+    rows = [row[:] for row in blp.lp.rows]
+    rhs = list(blp.lp.rhs)
+    aip = relax._aip_of(blp)
+    assert aip.rows is blp.lp.rows and aip.rhs is blp.lp.rhs
+    aip_value(aip)
+    aip_value(refine_aip(aip, select_star_point(blp, F(0))))
+    monkeypatch.setattr(relax, "build_blp", lambda delta, instance: blp)
+    answer = combined_solve(XOR, ins)
+    assert answer.star_provenance is not None and answer.aff_value is not None
+    assert blp.lp.rows == rows and blp.lp.rhs == rhs
 
 
 def test_refine_aip_restores_finite_value():
