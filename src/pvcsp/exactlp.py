@@ -5,11 +5,14 @@ or Fractions, exact either way; outputs are Fractions.  Phase 1 adds an
 artificial only to a row without a unit column (a slack of 1, say).  The
 tableau is integer-preserving (Python ints over one denominator per row,
 fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
-so pricing is a scan of that row.  Also provides the relative-interior
-machinery: a support profile (which coordinates can be positive over the
-feasible region or over its optimal face) and a relative interior point,
-the average, in ints, of the witnesses found by warm support rounds on
-the one tableau that phase 1 built.
+so pricing is a scan of that row.  A pivot costs what the pivot row's
+nonzeros cost on a row already over the pivot's denominator (most rows of
+a 0/±1 program), and every basic solution handed out is checked against
+the scaled input rows through their column index.  Also provides the
+relative-interior machinery: a support profile (which coordinates can be
+positive over the feasible region or over its optimal face) and a
+relative interior point, the average, in ints, of the witnesses found by
+warm support rounds on the one tableau that phase 1 built.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -71,9 +76,17 @@ class LPResult:
     ray: Optional[list[Fraction]] = None  # improving ray when unbounded
 
 
-def _eliminate(row: list[int], e: int, f: int, prow: list[int], p: int) -> list[int]:
+def _eliminate(
+    row: list[int], e: int, f: int, prow: list[int], nonzeros: list, p: int
+) -> list[int]:
     """Bareiss step: row, over denominator e, less f / p times the pivot
-    row, over the new denominator p; the division by e is exact."""
+    row, over the new denominator p; the division by e is exact.  Over
+    e = p, (p * a - f * b) // e is a - f * b // p, so such a row changes in
+    place, only where the pivot row is nonzero: at its (k, b) `nonzeros`."""
+    if e == p:
+        for k, b in nonzeros:
+            row[k] -= f * b // p
+        return row
     if e == 1:
         return [p * a - f * b for a, b in zip(row, prow)]
     return [(p * a - f * b) // e for a, b in zip(row, prow)]
@@ -88,11 +101,14 @@ class _Tableau:
     over denominator d is d times its true row, in ints (Cramer's rule).  A
     pivot is a Bareiss update (Edmonds 1967; Bareiss 1968): each row with a
     nonzero entry in the pivot column moves to the new d, by exact
-    divisions.  A row with a zero there is unchanged as a rational row, so
-    it keeps the denominator it had instead of being rescaled.  A row's
-    unit column (1 in it once scaled, 0 in every other row) starts basic;
-    columns beyond n are phase-1 artificials, one per row without one,
-    dropped once phase 1 is over.
+    divisions; one already over the pivot's denominator changes only where
+    the pivot row is nonzero (_eliminate).  A row with a zero there is
+    unchanged as a rational row, so it keeps the denominator it had instead
+    of being rescaled.  A row's unit column (1 in it once scaled, 0 in
+    every other row) starts basic; columns beyond n are phase-1
+    artificials, one per row without one, dropped once phase 1 is over.
+    `cols` indexes the scaled input rows by column (the rhs at n) as the
+    (row, coefficient) pairs of their nonzeros.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -103,18 +119,26 @@ class _Tableau:
         self.scale: list[int] = []
         self.scaled: list[list[int]] = []
         for row, b in zip(lp.rows, lp.rhs):
-            s = math.lcm(b.denominator, *(a.denominator for a in row))
-            if b < 0:
-                s = -s
-            ints = [a.numerator * (s // a.denominator) for a in row]
-            ints.append(b.numerator * (s // b.denominator))
+            s = math.lcm(b.denominator, *map(attrgetter("denominator"), row))
+            if s == 1 and b >= 0:  # an int row: its numerators, as ints
+                ints = list(map(attrgetter("numerator"), row))
+                ints.append(b.numerator)
+            else:
+                if b < 0:
+                    s = -s
+                ints = [a.numerator * (s // a.denominator) for a in row]
+                ints.append(b.numerator * (s // b.denominator))
             self.scale.append(abs(s))
             self.scaled.append(ints)
+        self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for i, ints in enumerate(self.scaled):
+            for j in compress(range(n + 1), ints):
+                self.cols[j].append((i, ints[j]))
         # each row starts from its first unit column, or else an artificial
         self.basis = [-1] * m
-        for j, column in enumerate(zip(*self.scaled)):
-            if j < n and column.count(0) == m - 1 and 1 in column:
-                i = column.index(1)
+        for j, column in enumerate(self.cols[:n]):
+            if len(column) == 1 and column[0][1] == 1:
+                i = column[0][0]
                 if self.basis[i] < 0:
                     self.basis[i] = j
         arts = [i for i, b in enumerate(self.basis) if b < 0]
@@ -140,15 +164,17 @@ class _Tableau:
         if p < 0:  # only when driving out artificials; keeps d > 0
             prow = [-a for a in prow]
             p = -p
+        nonzeros = [(k, prow[k]) for k in compress(range(len(prow)), prow)]
         rows, den = self.rows, self.den
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                rows[i] = _eliminate(row, den[i], f, prow, p)
+                rows[i] = _eliminate(row, den[i], f, prow, nonzeros, p)
                 den[i] = p
         rows[r], den[r] = prow, p
         if self.red is not None:
-            self.red = _eliminate(self.red, self.red_den, self.red[c], prow, p)
+            red = self.red
+            self.red = _eliminate(red, self.red_den, red[c], prow, nonzeros, p)
             self.red_den = p
         self.d = p
         self.basis[r] = c
@@ -171,7 +197,9 @@ class _Tableau:
         for row, b, e in zip(self.rows, self.basis, self.den):
             w = scaled[b]
             if w:
-                red = [x - w * a for x, a in zip(red, self._at_d(row, e))]
+                row = self._at_d(row, e)
+                for k in compress(range(len(row)), row):
+                    red[k] -= w * row[k]
         self.red, self.red_den = red, self.d
         while True:
             red = self.red
@@ -223,17 +251,22 @@ class _Tableau:
     def _check_rows(self, j: int) -> list[tuple[int, int]]:
         """(column, entry over d) for the nonzero basic entries of the rhs
         (j = -1) or of column j; InvariantViolated unless they satisfy every
-        scaled input row, in ints: the safety net for the exact divisions."""
+        scaled input row, in ints: the safety net for the exact divisions.
+        Each row's total sums over the basic columns' entries in `cols`."""
         d, n = self.d, self.n
         basic = [
             (b, row[j] * d // e)
             for row, b, e in zip(self.rows, self.basis, self.den)
             if b < n and row[j]
         ]
-        for ints in self.scaled:
-            total = sum(ints[b] * v for b, v in basic)
-            if total != (ints[-1] * d if j < 0 else ints[j] * d):
-                raise InvariantViolated("basic solution violates an input row")
+        totals = [0] * len(self.scaled)
+        for b, v in basic:
+            for i, a in self.cols[b]:
+                totals[i] += a * v
+        for i, a in self.cols[j]:  # cols[-1] is the rhs
+            totals[i] -= a * d
+        if any(totals):
+            raise InvariantViolated("basic solution violates an input row")
         return basic
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -204,8 +205,12 @@ class StarPoint:
 def _int_row(row: list[Rational], b: Rational) -> tuple[list[tuple[int, int]], int]:
     """row . x = b scaled to ints by the lcm of its denominators: the
     nonzero (column, coefficient) pairs and the rhs."""
-    s = math.lcm(b.denominator, *(a.denominator for a in row))
-    terms = [(j, a.numerator * (s // a.denominator)) for j, a in enumerate(row) if a]
+    nonzero = list(filter(None, row))
+    s = math.lcm(b.denominator, *map(operator.attrgetter("denominator"), nonzero))
+    terms = [
+        (j, a.numerator * (s // a.denominator))
+        for j, a in zip(itertools.compress(range(len(row)), row), nonzero)
+    ]
     return terms, b.numerator * (s // b.denominator)
 
 
@@ -248,7 +253,10 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
     if res.status != exactlp.OPTIMAL or not res.value <= u:
         raise PreconditionViolated("select_star_point requires blp value <= u")
     p, flags = warm.interior_point()
-    cost_p = sum((c * x for c, x in zip(blp.lp.objective, p)), ZERO)
+    cost_p = sum(
+        map(operator.mul, itertools.compress(blp.lp.objective, p), filter(None, p)),
+        ZERO,
+    )
     if cost_p <= u:
         _check_star_invariants(blp, p, flags, u)
         return StarPoint(p, FEASIBLE_INTERIOR, blp.index)

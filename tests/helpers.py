@@ -1,8 +1,8 @@
-"""Independent oracles used by the tests: vertex enumeration for LPs, box
-enumeration for integer systems, a dense HNF, a scan-based column echelon
-form and a table-level witness search.  These never share code with the
-solver paths they check; the witness-search reference shares only the LP
-solver, which has its own oracle above."""
+"""Independent oracles used by the tests: vertex enumeration for LPs, a
+dense Bareiss pivot, box enumeration for integer systems, a dense HNF, a
+scan-based column echelon form and a table-level witness search.  These
+never share code with the solver paths they check; the witness-search
+reference shares only the LP solver, which has its own oracle above."""
 
 from __future__ import annotations
 
@@ -75,6 +75,36 @@ def vertex_minimum(lp):
     return min(
         sum((c * x for c, x in zip(lp.objective, v)), ZERO) for v in vertices
     )
+
+
+def dense_pivot(tab, r, c):
+    """Reference for exactlp._Tableau.pivot: the dense Bareiss update of
+    every row with a nonzero in column c, and of the reduced-cost row, over
+    the new denominator p.  `tab` holds rows, den, d, red, red_den and basis
+    as in a tableau, and is updated in place."""
+
+    def eliminate(row, e, f, prow, p):
+        if e == 1:
+            return [p * a - f * b for a, b in zip(row, prow)]
+        return [(p * a - f * b) // e for a, b in zip(row, prow)]
+
+    d, e = tab.d, tab.den[r]
+    prow = tab.rows[r] if e == d else [a * d // e for a in tab.rows[r]]
+    p = prow[c]
+    if p < 0:
+        prow = [-a for a in prow]
+        p = -p
+    for i, row in enumerate(tab.rows):
+        f = row[c]
+        if f and i != r:
+            tab.rows[i] = eliminate(row, tab.den[i], f, prow, p)
+            tab.den[i] = p
+    tab.rows[r], tab.den[r] = prow, p
+    if tab.red is not None:
+        tab.red = eliminate(tab.red, tab.red_den, tab.red[c], prow, p)
+        tab.red_den = p
+    tab.d = p
+    tab.basis[r] = c
 
 
 def box_solutions(A, b, bound):

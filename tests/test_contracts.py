@@ -63,3 +63,18 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_exact_kernels_have_no_true_division_or_float():
+    # the LP and lattice kernels divide only with // on ints or through
+    # Fraction(...), so no float can reach a verdict
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("exactlp.py", "lattice.py")
+        for node in ast.walk(
+            ast.parse((ROOT / "src" / "pvcsp" / name).read_text(encoding="utf-8"))
+        )
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+    ]
+    assert found == []

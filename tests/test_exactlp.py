@@ -3,12 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import enumerate_vertices, vertex_minimum
-from pvcsp import exactlp
+from helpers import dense_pivot, enumerate_vertices, vertex_minimum
+from pvcsp import exactlp, generators
 from pvcsp.errors import DimensionMismatch, InfeasibleRegion, UnboundedObjective
 from pvcsp.exactlp import (
     INFEASIBLE,
@@ -20,6 +21,7 @@ from pvcsp.exactlp import (
     restrict_to_optimal_face,
     solve_lp,
 )
+from pvcsp.relax import build_blp
 
 Z = F(0)
 
@@ -426,3 +428,150 @@ for corrupt in ("rhs", "ray"):
         timeout=120, check=True,
     ).stdout
     assert out.splitlines() == ["caught: basic solution violates an input row"] * 2
+
+
+def tableau_state(tab):
+    return types.SimpleNamespace(
+        rows=[row[:] for row in tab.rows],
+        den=tab.den[:],
+        d=tab.d,
+        red=None if tab.red is None else tab.red[:],
+        red_den=tab.red_den,
+        basis=tab.basis[:],
+    )
+
+
+def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
+    """Every pivot of phase 1, phase 2 and the support rounds leaves rows,
+    den, d, red and basis as the dense Bareiss pivot does, both on rows
+    already over the pivot's denominator (the pivot row's nonzeros only)
+    and on the others."""
+    rows_by_path = {"sparse": 0, "dense": 0}
+    original = exactlp._Tableau.pivot
+
+    def replay(tab, r, c):
+        ref = tableau_state(tab)
+        dense_pivot(ref, r, c)
+        for i, row in enumerate(tab.rows):
+            if i != r and row[c]:
+                rows_by_path["sparse" if tab.den[i] == ref.d else "dense"] += 1
+        original(tab, r, c)
+        assert tableau_state(tab) == ref
+
+    monkeypatch.setattr(exactlp._Tableau, "pivot", replay)
+    rng = random.Random(37)
+    structures = [
+        generators.xor_structure(),
+        generators.horn_structure(),
+        generators.submodular_structure(rng),
+        generators.random_structure(rng, 2),
+        generators.random_structure(rng, 3),
+    ]
+    programs = [
+        build_blp(structures[k % 5], generators.random_instance(rng, structures[k % 5], 8, 8)).lp
+        for k in range(60)
+    ]
+    programs += [rational_lp(rng) for _ in range(60)]
+    programs += [slack_form_lp(rng)[0] for _ in range(60)]
+    solved = 0
+    for prog in programs:
+        warm = WarmLP(prog)
+        if warm.minimise().status == OPTIMAL:
+            solved += 1
+            warm.interior_point()
+            warm.face_interior_point()
+    assert solved >= 100
+    assert rows_by_path["sparse"] > 1000 and rows_by_path["dense"] > 1000
+
+
+def test_int_rows_are_read_as_ints():
+    # entries given as Fraction(k, 1) among ints: the tableau holds ints
+    # only, including a row with a negative rhs, and the answers are the
+    # vertex enumeration's
+    rng = random.Random(53)
+    checked = negative = 0
+    for _ in range(80):
+        n = rng.randint(2, 5)
+
+        def entry(lo, hi):
+            k = rng.randint(lo, hi)
+            return F(k) if rng.random() < 0.5 else k
+
+        rows = [[entry(1, 3) for _ in range(n)]]
+        rhs = [entry(1, 4)]
+        for _ in range(rng.randint(1, 2)):
+            rows.append([entry(-2, 2) for _ in range(n)])
+            rhs.append(entry(-2, 2))
+        prog = LinearProgram(n, rows, rhs, [entry(-2, 2) for _ in range(n)])
+        tab = exactlp._Tableau(prog)
+        assert all(type(a) is int for ints in tab.scaled + tab.rows for a in ints)
+        vertices = enumerate_vertices(prog)
+        if not vertices:
+            continue
+        checked += 1
+        negative += any(b < 0 for b in rhs)
+        assert_warm_matches_vertices(prog, vertices)
+        warm = WarmLP(prog)
+        warm.face_interior_point()
+        assert all(type(a) is int for ints in warm.tab.scaled + warm.tab.rows for a in ints)
+    assert checked >= 25 and negative >= 10
+
+
+def test_column_indexed_check_under_optimise_flag():
+    # the BLP of one xor1 term over x, y: phase 1 deletes a normalisation
+    # row as redundant, and the check still reads that row's scaled input;
+    # every corruption of a basic rhs entry, of the entries of a ray
+    # column, or of that row's rhs must not reach a caller
+    script = """
+from fractions import Fraction as F
+from pvcsp import exactlp, generators, relax
+from pvcsp.core import Instance, Term
+from pvcsp.errors import InvariantViolated
+if __debug__:
+    raise SystemExit("asserts are still on")
+deleted = []
+class Recording(list):
+    def __delitem__(self, i):
+        deleted.append(i)
+        super().__delitem__(i)
+init = exactlp._Tableau.__init__
+def recording_init(tab, lp):
+    init(tab, lp)
+    tab.rows = Recording(tab.rows)
+exactlp._Tableau.__init__ = recording_init
+instance = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
+prog = relax.build_blp(generators.xor_structure(), instance).lp
+tab = exactlp.WarmLP(prog).tab
+print("deleted:", deleted, "basis:", tab.basis)
+ray = min(set(range(prog.n)) - set(tab.basis))
+def caught(corrupt, check):
+    tab = exactlp.WarmLP(prog).tab
+    corrupt(tab)
+    try:
+        check(tab)
+    except InvariantViolated as exc:
+        print("caught:", exc)
+    else:
+        print("missed")
+def bump(i, j):
+    def corrupt(tab):
+        tab.rows[i][j] += 1
+    return corrupt
+def bump_deleted_rhs(tab):
+    k = deleted[-1]
+    tab.scaled[k][-1] += 1
+    tab.cols[-1] = [(i, a + (i == k)) for i, a in tab.cols[-1]]
+for i in range(len(tab.rows)):
+    caught(bump(i, -1), lambda tab: tab.solution())
+for i in range(len(tab.rows)):
+    caught(bump(i, ray), lambda tab: tab.ray(ray))
+caught(bump_deleted_rhs, lambda tab: tab.solution())
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "deleted: [5] basis: [0, 1, 3, 2, 4]"
+    assert out[1:] == ["caught: basic solution violates an input row"] * 11
