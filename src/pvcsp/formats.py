@@ -47,12 +47,19 @@ from .theory import PromiseFpol
 from .values import PLUS_INF, format_value, parse_value
 
 
-def _lines(text: str) -> list[list[str]]:
-    out = []
+def _lines(text: str, once: tuple[str, ...]) -> list[list[str]]:
+    """Each line's tokens, without comments and blank lines.  A header in
+    `once` may start one line only: a second would replace the first."""
+    out, seen = [], set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append(line.split())
+            head = out[-1][0]
+            if head in once:
+                if head in seen:
+                    raise FormatError(f"duplicate {head} line")
+                seen.add(head)
     return out
 
 
@@ -78,11 +85,9 @@ def parse_structure(text: str) -> ValuedStructure:
     tables: dict[str, dict] = {}
     defaults: dict[str, object] = {}
     current: str | None = None
-    for tokens in _lines(text):
+    for tokens in _lines(text, ("domain",)):
         head = tokens[0]
         if head == "domain":
-            if domain:
-                raise FormatError("duplicate domain line")
             domain = tokens[1:]
             if not domain:
                 raise FormatError("empty domain")
@@ -116,6 +121,8 @@ def parse_structure(text: str) -> ValuedStructure:
             for a in args:
                 if a not in domain:
                     raise FormatError(f"label {a!r} outside the domain")
+            if args in tables[current]:
+                raise FormatError(f"duplicate entry for {current}: {tokens}")
             try:
                 tables[current][args] = parse_value(value_tokens[0])
             except ValueError as exc:
@@ -155,7 +162,7 @@ def parse_instance(text: str) -> Instance:
     variables: list[str] = []
     terms: list[Term] = []
     threshold = None
-    for tokens in _lines(text):
+    for tokens in _lines(text, ("vars", "threshold")):
         head = tokens[0]
         if head == "vars":
             variables = tokens[1:]
@@ -200,7 +207,8 @@ def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
     out_domain: tuple[str, ...] = ()
     input_weights: tuple[Fraction, ...] | None = None
     pairs: list[tuple[dict, Fraction]] = []
-    for tokens in _lines(text):
+    once = ("measure", "arity", "in_domain", "out_domain", "input_weights")
+    for tokens in _lines(text, once):
         head = tokens[0]
         if head == "measure":
             if len(tokens) != 2 or tokens[1] not in (FRACHOM, FPOL):
@@ -231,6 +239,8 @@ def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
             out = tokens[sep + 1 :]
             if len(args) != arity or len(out) != 1:
                 raise FormatError(f"malformed map entry: {' '.join(tokens)}")
+            if args in pairs[-1][0]:
+                raise FormatError(f"duplicate map entry: {' '.join(tokens)}")
             pairs[-1][0][args] = out[0]
         else:
             raise FormatError(f"unrecognised line: {' '.join(tokens)}")

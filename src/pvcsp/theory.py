@@ -9,6 +9,8 @@ check and one polymorphism search, and the homomorphism ones run them.
 The search works on block-multiset elements: a candidate is its tuple of
 outputs, one per element, constraints with the same element tuple share
 one LP row with the least rhs, and tables are built only for the support.
+Those rows are the finite entries of the block-multiset structure, and one
+helper, `_element_costs`, computes the least costs for both.
 
 Every checker is a full exhaustive enumeration guarded by a hard cap;
 exactness over scale.  Measures collapse equal tables by summing weights,
@@ -239,45 +241,64 @@ def render_multiset_element(element: tuple[tuple[str, ...], ...]) -> str:
     return "|".join(",".join(ms) for ms in element)
 
 
-def _block_element(
-    a: tuple[str, ...], partition: BlockPartition, domain: Sequence[str]
-) -> tuple[tuple[str, ...], ...]:
-    """The block-multiset element a tuple in D^m realises: its restriction
-    to each block as a multiset."""
-    return tuple(
-        tuple_to_multiset([a[i] for i in block], domain)
-        for block in partition.blocks
-    )
+def _canonical(
+    element: tuple[tuple[str, ...], ...], partition: BlockPartition
+) -> tuple[str, ...]:
+    """The tuple in D^m that lists each block's multiset in order."""
+    t = [""] * partition.arity
+    for block, ms in zip(partition.blocks, element):
+        for pos, val in zip(block, ms):
+            t[pos] = val
+    return tuple(t)
 
 
-def _distinct_permutations(ms: tuple[str, ...]):
-    seen = set()
-    for p in itertools.permutations(ms):
-        if p not in seen:
-            seen.add(p)
-            yield p
+def _element_index(
+    domain: Sequence[str], partition: BlockPartition
+) -> tuple[list[tuple[tuple[str, ...], ...]], dict[tuple[str, ...], int]]:
+    """The block-multiset elements, and for each tuple in D^m the index of
+    the element it realises: its restriction to each block as a multiset."""
+    elements = block_multiset_domain(domain, partition)
+    index = {e: i for i, e in enumerate(elements)}
+    element_of = {
+        a: index[
+            tuple(
+                tuple_to_multiset([a[i] for i in block], domain)
+                for block in partition.blocks
+            )
+        ]
+        for a in itertools.product(domain, repeat=partition.arity)
+    }
+    return elements, element_of
 
 
-def _arrangements(element, partition: BlockPartition, canonical: bool):
-    """Tuples in D^m whose block restrictions realise the given multisets.
+def _element_costs(
+    delta: ValuedStructure, partition: BlockPartition
+) -> tuple[dict[tuple[str, ...], int], dict[tuple[str, tuple[int, ...]], Fraction]]:
+    """The element index of each tuple in D^m, and for each (symbol,
+    element index of each argument position) the least Delta-cost sum of
+    the m argument tuples that realise it; a key whose every realisation
+    costs +inf is left out.  Over m these sums are the finite costs of the
+    block-multiset structure.
 
-    With canonical=True only the sorted-within-block arrangement is produced
-    (sound for the first argument of the cost minimum, by simultaneous
-    block-preserving permutation of all arguments).
+    The first position ranges over one canonical tuple per element: a
+    block-preserving permutation of the m coordinates, applied at every
+    position at once, keeps each position's element and the sum, and takes
+    any realisation of the first element to its canonical tuple.
     """
-    m = partition.arity
-    per_block = []
-    for ms in element:
-        if canonical:
-            per_block.append([ms])
-        else:
-            per_block.append(list(_distinct_permutations(ms)))
-    for combo in itertools.product(*per_block):
-        t = [""] * m
-        for block, arranged in zip(partition.blocks, combo):
-            for pos, val in zip(block, arranged):
-                t[pos] = val
-        yield tuple(t)
+    elements, element_of = _element_index(delta.domain, partition)
+    firsts = [_canonical(e, partition) for e in elements]
+    sums: dict[tuple[str, tuple[int, ...]], Fraction] = {}
+    for symbol, arity in delta.signature.symbols:
+        cost = delta.table(symbol).__getitem__
+        for i, first in enumerate(firsts):
+            for rest in itertools.product(element_of, repeat=arity - 1):
+                total = sum(map(cost, zip(first, *rest)), Fraction(0))
+                if total is PLUS_INF:
+                    continue
+                key = (symbol, (i, *[element_of[p] for p in rest]))
+                if key not in sums or total < sums[key]:
+                    sums[key] = total
+    return element_of, sums
 
 
 def block_multiset_structure(
@@ -298,29 +319,15 @@ def block_multiset_structure(
     )
     if work > cap:
         raise ResourceGuard(f"multiset domain of {len(elements)} exceeds cap")
-    by_label = dict(zip(labels, elements))
+    _, sums = _element_costs(delta, partition)
     tables = {}
-    inv_m = Fraction(1, m)
     for symbol, arity in delta.signature.symbols:
         table = {}
-        base = delta.table(symbol)
-        for arg_labels in itertools.product(labels, repeat=arity):
-            args = [by_label[lab] for lab in arg_labels]
-            best: ExtRat = PLUS_INF
-            first = list(_arrangements(args[0], partition, canonical=True))
-            rest = [
-                list(_arrangements(e, partition, canonical=False))
-                for e in args[1:]
-            ]
-            for combo in itertools.product(first, *rest):
-                total: ExtRat = Fraction(0)
-                for i in range(m):
-                    total = total + base[tuple(t[i] for t in combo)]
-                    if total is PLUS_INF:
-                        break
-                if total < best:
-                    best = total
-            table[arg_labels] = best if best is PLUS_INF else inv_m * best
+        for key in itertools.product(range(len(labels)), repeat=arity):
+            total = sums.get((symbol, key), PLUS_INF)
+            table[tuple([labels[i] for i in key])] = (
+                total if total is PLUS_INF else total / m
+            )
         tables[symbol] = table
     return ValuedStructure(delta.signature, labels, tables)
 
@@ -342,7 +349,7 @@ def lift_fpol_to_frachom(
     pairs = []
     for g, w in omega.output:
         mapping = {
-            (lab,): g.apply(next(_arrangements(e, partition, canonical=True)))
+            (lab,): g.apply(_canonical(e, partition))
             for lab, e in zip(labels, elements)
         }
         lifted = OperationTable.from_map(labels, gamma.domain, 1, mapping)
@@ -359,21 +366,16 @@ def fpol_from_frachom(
     tuple-to-multisets projection; input weights uniform."""
     base_domain = tuple(base_domain)
     m = partition.arity
-    elements = block_multiset_domain(base_domain, partition)
+    elements, element_of = _element_index(base_domain, partition)
     labels = tuple(render_multiset_element(e) for e in elements)
-    label_of: dict[tuple, str] = {}
-    for lab, e in zip(labels, elements):
-        label_of[e] = lab
     pairs = []
     for h, w in chi:
         if h.in_domain != labels:
             raise DomainMismatch(
                 "chi's input domain is not the block-multiset domain"
             )
-        mapping = {
-            a: h.apply((label_of[_block_element(a, partition, base_domain)],))
-            for a in itertools.product(base_domain, repeat=m)
-        }
+        outs = [h.apply((lab,)) for lab in labels]
+        mapping = {a: outs[i] for a, i in element_of.items()}
         g = OperationTable.from_map(base_domain, h.out_domain, m, mapping)
         pairs.append((g, w))
     return PromiseFpol.uniform_input(FiniteMeasure.from_pairs(pairs))
@@ -412,7 +414,8 @@ def _search(
     m argument tuples of a symbol with a finite input-weighted Delta-cost as
     rhs, applies the operation at each position, so its image depends only
     on each position's element: one row per (symbol, element tuple) keeps
-    the least rhs.  Column entries are small ints indexing Gamma's distinct
+    the least rhs, the finite cost of that entry of the block-multiset
+    structure.  Column entries are small ints indexing Gamma's distinct
     costs; a candidate with a +inf image is dropped, and equal columns are
     kept once, by their first candidate.  With a slack per row, scaled by
     the row's lcm so that the slack is 1, the LP is a pure feasibility solve
@@ -427,24 +430,7 @@ def _search(
     work = sum(len(delta.domain) ** (a * m) for _, a in delta.signature.symbols)
     if work * max(1, count) > cap:
         raise ResourceGuard("polymorphism search exceeds cap")
-    index = {e: i for i, e in enumerate(elements)}
-    points = list(itertools.product(delta.domain, repeat=m))
-    element_of = {
-        a: index[_block_element(a, partition, delta.domain)] for a in points
-    }
-    # (symbol, element of each position) -> least Delta-cost sum of the m
-    # argument tuples; the rhs is that sum over m
-    sums: dict[tuple[str, tuple[int, ...]], Fraction] = {}
-    for symbol, arity in delta.signature.symbols:
-        base = delta.table(symbol)
-        for tuples in itertools.product(delta.tuples(symbol), repeat=m):
-            costs = [base[t] for t in tuples]
-            if any(c is PLUS_INF for c in costs):
-                continue
-            key = (symbol, tuple([element_of[p] for p in zip(*tuples)]))
-            total = sum(costs, Fraction(0))
-            if key not in sums or total < sums[key]:
-                sums[key] = total
+    element_of, sums = _element_costs(delta, partition)
     ids: dict = {PLUS_INF: -1}  # +inf is -1, a finite cost its position
     outs = range(len(gamma.domain))
     cost_ids = {}  # per symbol, keyed as a row's itemgetter reads the outputs
@@ -484,7 +470,7 @@ def _search(
     pairs = []
     for outputs, x in zip(reps.values(), res.point):
         if x > 0:
-            mapping = {a: gamma.domain[outputs[element_of[a]]] for a in points}
+            mapping = {a: gamma.domain[outputs[i]] for a, i in element_of.items()}
             g = OperationTable.from_map(delta.domain, gamma.domain, m, mapping)
             pairs.append((g, x))
     return FiniteMeasure.from_pairs(pairs)

@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: vertex enumeration for LPs, a
 dense Bareiss pivot, box enumeration for integer systems, a dense HNF, a
-scan-based column echelon form and a table-level witness search.  These
+scan-based column echelon form, a table-level witness search and the
+block-multiset costs over every arrangement of every argument.  These
 never share code with the solver paths they check; the witness-search
 reference shares only the LP solver, which has its own oracle above."""
 
@@ -330,6 +331,33 @@ def block_symmetric_tables(in_domain, out_domain, partition):
         mapping = {a: value[key] for a, key in zip(points, keys)}
         ops.append(OperationTable.from_map(in_domain, out_domain, m, mapping))
     return ops
+
+
+def arrangements(element, partition):
+    """Every tuple in D^m whose restriction to each block is an ordering of
+    that block's multiset, each distinct tuple once."""
+    per_block = [sorted(set(itertools.permutations(ms))) for ms in element]
+    for combo in itertools.product(*per_block):
+        t = [None] * partition.arity
+        for block, arranged in zip(partition.blocks, combo):
+            for pos, val in zip(block, arranged):
+                t[pos] = val
+        yield tuple(t)
+
+
+def full_multiset_cost(delta, partition, symbol, elements):
+    """The block-multiset structure's cost of one element tuple: the least
+    Delta-cost average over every arrangement of every argument, with no
+    argument fixed to a canonical one."""
+    base = delta.table(symbol)
+    best = PLUS_INF
+    for combo in itertools.product(
+        *[list(arrangements(e, partition)) for e in elements]
+    ):
+        total = sum((base[t] for t in zip(*combo)), ZERO)
+        if total < best:
+            best = total
+    return best if best is PLUS_INF else best / partition.arity
 
 
 def table_reference_search(template, partition):

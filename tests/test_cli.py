@@ -26,6 +26,22 @@ threshold 0
 """
 
 
+IDENTITY_FPOL = """measure fpol
+arity 1
+in_domain 0 1
+out_domain 0 1
+input_weights 1
+map 1
+0 : 0
+1 : 1
+"""
+
+
+def twice(text, line):
+    """The text with one of its lines repeated right after itself."""
+    return text.replace(line + "\n", line + "\n" + line + "\n", 1)
+
+
 @pytest.fixture
 def files(tmp_path):
     s = tmp_path / "structure.pvcsp"
@@ -103,12 +119,15 @@ def test_solve_invariant_violation_is_internal(files, monkeypatch, capsys):
 def test_check_accepts_valid_fpol(files, tmp_path, capsys):
     _, s, _, _ = files
     measure = tmp_path / "m.pvcsp"
-    measure.write_text(
+    for text in (
         "measure frachom\narity 1\nin_domain 0 1\nout_domain 0 1\n"
-        "map 1\n0 : 0\n1 : 1\n"
-    )
-    assert main(["check", "--measure", str(measure), "--structure", s]) == EXIT_YES
-    assert "ok" in capsys.readouterr().out
+        "map 1\n0 : 0\n1 : 1\n",
+        IDENTITY_FPOL,
+    ):
+        measure.write_text(text)
+        code = main(["check", "--measure", str(measure), "--structure", s])
+        assert code == EXIT_YES
+        assert "ok" in capsys.readouterr().out
 
 
 def test_check_flags_violation(tmp_path, capsys):
@@ -166,9 +185,22 @@ def test_construct_malformed_partition(files, capsys, spec):
         ("structure", "domain 0 1\nsymbol f -1 default 0\n"),
         ("structure", None),
         ("structure", b"domain 0 \xff\n"),
+        # a repeated line would silently replace the first; the texts are
+        # valid without the repeat
+        ("measure", twice(IDENTITY_FPOL, "measure fpol")),
+        ("measure", twice(IDENTITY_FPOL, "arity 1")),
+        ("measure", twice(IDENTITY_FPOL, "in_domain 0 1")),
+        ("measure", twice(IDENTITY_FPOL, "out_domain 0 1")),
+        ("measure", twice(IDENTITY_FPOL, "input_weights 1")),
+        ("measure", twice(IDENTITY_FPOL, "0 : 0")),
+        ("structure", twice(STRUCTURE, "0 1 : 0")),
+        ("instance", twice(SAT_INSTANCE, "vars x y")),
+        ("instance", SAT_INSTANCE.replace("threshold 0", "threshold -1\nthreshold 0")),
     ],
     ids=["arity-x", "arity-missing", "weight-missing", "arity-negative",
-         "directory", "not-utf8"],
+         "directory", "not-utf8", "measure-twice", "arity-twice",
+         "in-domain-twice", "out-domain-twice", "input-weights-twice",
+         "map-entry-twice", "entry-twice", "vars-twice", "threshold-twice"],
 )
 def test_malformed_input_is_error(files, tmp_path, capsys, kind, content):
     _, s, sat, _ = files
@@ -181,6 +213,8 @@ def test_malformed_input_is_error(files, tmp_path, capsys, kind, content):
         bad.write_text(content)
     if kind == "measure":
         argv = ["check", "--measure", str(bad), "--structure", s]
+    elif kind == "instance":
+        argv = ["solve", "--structure", s, "--instance", str(bad)]
     else:
         argv = ["solve", "--structure", str(bad), "--instance", sat]
     assert main(argv) == EXIT_ERROR

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import table_reference_search
+from helpers import full_multiset_cost, table_reference_search
 
 from pvcsp import exactlp, generators, theory
 from pvcsp.core import (
@@ -287,34 +287,26 @@ def test_symmetric_square_binary_picks_best_alignment():
     assert sq.cost("xor0", ("0,0", "0,0")) == 0
 
 
+# (domain size, block sizes) of the multiset-structure references
+MULTISET_SHAPES = ((2, (2,)), (2, (3,)), (2, (1, 1)), (2, (2, 1)), (3, (2,)))
+
+
 def test_canonical_first_argument_matches_full_enumeration():
     rng = random.Random(12)
-    partition = BlockPartition.from_sizes([2, 1])
-    for _ in range(6):
-        delta = generators.random_structure(rng, n_symbols=1, max_arity=2)
+    arities = set()
+    for case in range(25):
+        d, sizes = MULTISET_SHAPES[case % len(MULTISET_SHAPES)]
+        partition = BlockPartition.from_sizes(sizes)
+        delta = generators.random_structure(rng, d, n_symbols=3, max_arity=3)
         built = block_multiset_structure(delta, partition)
         elements = block_multiset_domain(delta.domain, partition)
-        labels = [render_multiset_element(e) for e in elements]
-        by_label = dict(zip(labels, elements))
-        name, arity = delta.signature.symbols[0]
-        base = delta.table(name)
-        for arg_labels in itertools.product(labels, repeat=arity):
-            args = [by_label[lab] for lab in arg_labels]
-            best = PLUS_INF
-            all_arr = [
-                list(theory._arrangements(e, partition, canonical=False))
-                for e in args
-            ]
-            for combo in itertools.product(*all_arr):
-                total = F(0)
-                for i in range(partition.arity):
-                    total = total + base[tuple(t[i] for t in combo)]
-                    if total is PLUS_INF:
-                        break
-                if total < best:
-                    best = total
-            expected = best if best is PLUS_INF else best / partition.arity
-            assert built.cost(name, arg_labels) == expected
+        for name, arity in delta.signature.symbols:
+            arities.add((d, sizes, arity))
+            for args in itertools.product(elements, repeat=arity):
+                labels = tuple(render_multiset_element(e) for e in args)
+                expected = full_multiset_cost(delta, partition, name, args)
+                assert built.cost(name, labels) == expected
+    assert {(d, s, 3) for d, s in MULTISET_SHAPES} <= arities
 
 
 def test_multiset_structure_cap():
@@ -604,6 +596,37 @@ def test_element_search_matches_table_reference():
     assert min(verdicts.values()) >= 30
 
 
+# (domain size, block sizes) of the two-path equivalence check
+EQUIVALENCE_SHAPES = (
+    (2, (2,)), (2, (1, 1)), (2, (3,)), (2, (2, 1)), (2, (1, 1, 1)), (3, (2,)),
+)
+
+
+def test_fpol_search_agrees_with_frachom_from_multiset_structure():
+    # A block-symmetric promise polymorphism of (Delta, Gamma) exists iff a
+    # fractional homomorphism from the block-multiset structure of Delta to
+    # Gamma does, and a homomorphism maps back to a valid polymorphism.
+    rng = random.Random(83)
+    verdicts = {True: 0, False: 0}
+    for case in range(60):
+        d, sizes = EQUIVALENCE_SHAPES[case % len(EQUIVALENCE_SHAPES)]
+        template = reference_template(rng, d, rng.random() < 0.5)
+        partition = BlockPartition.from_sizes(sizes)
+        omega = find_promise_fpol_lp(template, partition.arity, partition=partition)
+        structure = block_multiset_structure(template.delta, partition)
+        chi = find_frachom_lp(structure, template.gamma)
+        none = chi == NONE_EXISTS
+        assert (omega == NONE_EXISTS) == none, (case, d, sizes)
+        verdicts[none] += 1
+        if none:
+            continue
+        back = fpol_from_frachom(chi, partition, template.delta.domain)
+        assert check_promise_fpol(back, template)[0]
+        for g in back.output.support():
+            assert check_block_symmetry(g, partition)
+    assert min(verdicts.values()) >= 10
+
+
 def count_from_map(monkeypatch):
     calls = []
     original = OperationTable.from_map.__func__
@@ -656,9 +679,18 @@ def test_search_merges_rows_by_element_tuple(monkeypatch):
             delta = generators.random_structure(rng, n_symbols=1, allow_inf=False)
         template = PromiseTemplate(delta, generators.weaken_structure(rng, delta))
         lps.clear()
-        find_promise_fpol_lp(template, 3, partition=BlockPartition.from_sizes([3]))
+        partition = BlockPartition.from_sizes([3])
+        find_promise_fpol_lp(template, 3, partition=partition)
         (lp,) = lps
         assert len(lp.rows) <= 1 + 4**2 < 1 + 2**6
+        # one row per finite entry of the block-multiset structure
+        structure = block_multiset_structure(delta, partition)
+        finite = sum(
+            v is not PLUS_INF
+            for name in structure.signature.names()
+            for v in structure.table(name).values()
+        )
+        assert len(lp.rows) == 1 + finite
         # singleton blocks: no two constraints share an element tuple
         lps.clear()
         assert find_promise_fpol_lp(template, 2) != NONE_EXISTS
