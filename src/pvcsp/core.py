@@ -244,12 +244,6 @@ class FiniteMeasure:
     def support(self) -> list:
         return [e for e, _ in self.weights]
 
-    def weight(self, element) -> Fraction:
-        for e, w in self.weights:
-            if e == element:
-                return w
-        return Fraction(0)
-
     def __iter__(self):
         return iter(self.weights)
 

@@ -54,14 +54,6 @@ class LinearProgram:
             if len(row) != self.n:
                 raise DimensionMismatch("row length != n")
 
-    def with_extra_row(self, row: list[Rational], b: Rational) -> "LinearProgram":
-        return LinearProgram(
-            self.n,
-            [r[:] for r in self.rows] + [row[:]],
-            self.rhs + [b],
-            self.objective[:],
-        )
-
 
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -397,5 +389,9 @@ def relative_interior_point_with_flags(
 
 
 def restrict_to_optimal_face(lp: LinearProgram) -> LinearProgram:
-    """Append the equality objective = optimal value."""
-    return lp.with_extra_row(list(lp.objective), WarmLP(lp).optimum().value)
+    """Append the equality objective = optimal value; the rows are lp's own,
+    shared and not copied."""
+    value = WarmLP(lp).optimum().value
+    return LinearProgram(
+        lp.n, lp.rows + [lp.objective], lp.rhs + [value], lp.objective
+    )

@@ -31,12 +31,8 @@ B = ("0", "1")
 
 
 def _crisp(allowed) -> dict:
-    return {t: (Fraction(0) if t in allowed else PLUS_INF) for t in allowed_universe(allowed)}
-
-
-def allowed_universe(allowed):
-    arity = len(next(iter(allowed)))
-    return itertools.product(B, repeat=arity)
+    universe = itertools.product(B, repeat=len(next(iter(allowed))))
+    return {t: (Fraction(0) if t in allowed else PLUS_INF) for t in universe}
 
 
 def xor_structure() -> ValuedStructure:

@@ -6,7 +6,9 @@ Both programs share one column indexing (term tuples first, then variable
 marginals, each in deterministic order), so the star point computed on the
 LP side aligns coordinate-for-coordinate with the integer program.
 Tuples outside dom(f) are eliminated from the column set rather than
-constrained to zero, and the refinement eliminates further columns.
+constrained to zero, and the refinement eliminates further columns.  The
+BLP is built in one pass over each term's tuples, and the star point's
+optimal-face check shares the BLP's rows rather than copying them.
 """
 
 from __future__ import annotations
@@ -36,86 +38,7 @@ class ProgramIndex:
     """Shared column map for the BLP and AIP of one instance."""
 
     columns: list[ColKey]
-    position: dict[ColKey, int]
     eliminated: list[ColKey]
-
-    @classmethod
-    def build(
-        cls,
-        delta: ValuedStructure,
-        instance: Instance,
-        keep: Callable[[ColKey], bool],
-    ) -> "ProgramIndex":
-        columns: list[ColKey] = []
-        eliminated: list[ColKey] = []
-        for j, term in enumerate(instance.terms):
-            arity = delta.signature.arity(term.symbol)
-            for t in itertools.product(delta.domain, repeat=arity):
-                key = ("lam", j, t)
-                (columns if keep(key) else eliminated).append(key)
-        for x in instance.variables:
-            for a in delta.domain:
-                key = ("mu", x, a)
-                (columns if keep(key) else eliminated).append(key)
-        return cls(columns, {k: i for i, k in enumerate(columns)}, eliminated)
-
-
-def _constraint_rows(
-    delta: ValuedStructure, instance: Instance, index: ProgramIndex
-):
-    """The Figure-style constraint families over the kept columns:
-    marginal equalities (= 0) and per-variable normalisations (= 1).
-    Every entry is 0, 1 or -1, so the rows are Python ints, exact for the
-    LP and already integral for the AIP."""
-    n = len(index.columns)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for j, term in enumerate(instance.terms):
-        arity = delta.signature.arity(term.symbol)
-        for ell in range(arity):
-            x = term.args[ell]
-            for a in delta.domain:
-                row = [0] * n
-                touched = False
-                for t in itertools.product(delta.domain, repeat=arity):
-                    if t[ell] != a:
-                        continue
-                    pos = index.position.get(("lam", j, t))
-                    if pos is not None:
-                        row[pos] += 1
-                        touched = True
-                mu_pos = index.position.get(("mu", x, a))
-                if mu_pos is not None:
-                    row[mu_pos] -= 1
-                    touched = True
-                if touched:
-                    rows.append(row)
-                    rhs.append(0)
-    for x in instance.variables:
-        # if every marginal of x is eliminated, the all-zero row reads 0 = 1
-        # and correctly renders the program infeasible
-        row = [0] * n
-        for a in delta.domain:
-            pos = index.position.get(("mu", x, a))
-            if pos is not None:
-                row[pos] += 1
-        rows.append(row)
-        rhs.append(1)
-    return rows, rhs
-
-
-def _objective(
-    delta: ValuedStructure, instance: Instance, index: ProgramIndex
-) -> list[Fraction]:
-    obj = [ZERO] * len(index.columns)
-    for i, key in enumerate(index.columns):
-        if key[0] == "lam":
-            _, j, t = key
-            cost = delta.cost(instance.terms[j].symbol, t)
-            if not is_finite(cost):
-                raise InvariantViolated("eliminated columns carry the infinities")
-            obj[i] = cost
-    return obj
 
 
 @dataclass
@@ -143,23 +66,55 @@ class AipProgram:
 def build_blp(delta: ValuedStructure, instance: Instance) -> BlpProgram:
     """The basic LP relaxation; infeasibility encodes a +inf value.
 
-    The upper bounds lambda, mu <= 1 are implied by nonnegativity plus the
-    normalisation equalities and are not encoded.
+    One pass over each term's tuples in product order: a finite-cost tuple
+    is a lambda column, its cost the objective entry, in the marginal row of
+    each of its positions; a +inf tuple is eliminated.  Then the mu columns,
+    the marginal equalities (= 0; term, position, label order) and the
+    per-variable normalisations (= 1).  Entries are the ints 0, 1 and -1,
+    exact for the LP and integral for the AIP.  The bounds lambda, mu <= 1
+    follow from nonnegativity and the normalisations and are not encoded.
     """
     check_instance(delta, instance)
-    dom = {
-        (j, t): True
-        for j, term in enumerate(instance.terms)
-        for t in delta.dom(term.symbol)
-    }
-    index = ProgramIndex.build(
-        delta, instance, lambda k: k[0] == "mu" or (k[1], k[2]) in dom
-    )
-    rows, rhs = _constraint_rows(delta, instance, index)
-    lp = LinearProgram(
-        len(index.columns), rows, rhs, _objective(delta, instance, index)
-    )
-    return BlpProgram(lp, index)
+    columns, eliminated, objective = [], [], []
+    marginals = []  # per term and position: label -> its lambda columns
+    for j, term in enumerate(instance.terms):
+        table = delta.table(term.symbol)
+        cells = [{a: [] for a in delta.domain} for _ in term.args]
+        for t in itertools.product(delta.domain, repeat=len(term.args)):
+            cost = table[t]
+            if not is_finite(cost):
+                eliminated.append(("lam", j, t))
+                continue
+            for cell, a in zip(cells, t):
+                cell[a].append(len(columns))
+            columns.append(("lam", j, t))
+            objective.append(cost)
+        marginals.append(cells)
+    mu = {}
+    for x in instance.variables:
+        for a in delta.domain:
+            mu[x, a] = len(columns)
+            columns.append(("mu", x, a))
+            objective.append(ZERO)
+    n = len(columns)
+    rows = []
+    for term, cells in zip(instance.terms, marginals):
+        for x, cell in zip(term.args, cells):
+            for a, lams in cell.items():
+                row = [0] * n
+                for i in lams:
+                    row[i] = 1
+                row[mu[x, a]] = -1
+                rows.append(row)
+    rhs = [0] * len(rows)
+    for x in instance.variables:
+        row = [0] * n
+        for a in delta.domain:
+            row[mu[x, a]] = 1
+        rows.append(row)
+        rhs.append(1)
+    lp = LinearProgram(n, rows, rhs, objective)
+    return BlpProgram(lp, ProgramIndex(columns, eliminated))
 
 
 def build_aip(delta: ValuedStructure, instance: Instance) -> AipProgram:
@@ -198,8 +153,7 @@ class StarPoint:
     index: ProgramIndex
 
     def value_of(self, key: ColKey) -> Fraction:
-        pos = self.index.position.get(key)
-        return self.values[pos] if pos is not None else ZERO
+        return dict(zip(self.index.columns, self.values)).get(key, ZERO)
 
 
 def _int_row(row: list[Rational], b: Rational) -> tuple[list[tuple[int, int]], int]:
@@ -272,7 +226,11 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
         _check_star_invariants(blp, mixed, flags, u)
         return StarPoint(mixed, FEASIBLE_INTERIOR, blp.index)
     q, face_flags = warm.face_interior_point()
-    face = blp.lp.with_extra_row(list(blp.lp.objective), res.value)
+    lp = blp.lp
+    # the optimal face: the BLP's own rows, shared, and objective = optimum
+    face = LinearProgram(
+        lp.n, lp.rows + [lp.objective], lp.rhs + [res.value], lp.objective
+    )
     _check_star_invariants(BlpProgram(face, blp.index), q, face_flags, u)
     return StarPoint(q, OPTIMAL_FACE_INTERIOR, blp.index)
 
@@ -283,11 +241,8 @@ def refine_aip(aip: AipProgram, star: StarPoint) -> AipProgram:
         raise IndexMisalignment("star point indexed against a different program")
     keep = [i for i, v in enumerate(star.values) if v > 0]
     dropped = [aip.index.columns[i] for i, v in enumerate(star.values) if v == 0]
-    columns = [aip.index.columns[i] for i in keep]
     index = ProgramIndex(
-        columns,
-        {k: i for i, k in enumerate(columns)},
-        aip.index.eliminated + dropped,
+        [aip.index.columns[i] for i in keep], aip.index.eliminated + dropped
     )
     rows = [[row[i] for i in keep] for row in aip.rows]
     objective = [aip.objective[i] for i in keep]

@@ -228,6 +228,13 @@ def symmetrize_input_weights(
     return PromiseFpol.uniform_input(omega.output)
 
 
+def _element_count(domain_size: int, partition: BlockPartition) -> int:
+    """The number of block-multiset elements, without listing them."""
+    return math.prod(
+        math.comb(domain_size + len(b) - 1, len(b)) for b in partition.blocks
+    )
+
+
 def block_multiset_domain(
     domain: Sequence[str], partition: BlockPartition
 ) -> list[tuple[tuple[str, ...], ...]]:
@@ -309,16 +316,19 @@ def block_multiset_structure(
     """The k-block multiset structure: costs are minimum averaged alignments
     of the base costs.  A single block of size m gives the symmetric power
     structure; blocks of sizes L+1, L give the bimultiset structure."""
-    m = partition.arity
+    m, d = partition.arity, len(delta.domain)
+    # per symbol, the tuples _element_costs visits and the table entries
+    count = _element_count(d, partition)
+    work = sum(
+        count * d ** (m * (arity - 1)) + count**arity
+        for _, arity in delta.signature.symbols
+    )
+    if work > cap:
+        raise ResourceGuard(f"multiset structure: {work} tuples over cap {cap}")
     elements = block_multiset_domain(delta.domain, partition)
     labels = [render_multiset_element(e) for e in elements]
     if len(set(labels)) != len(labels):
         raise DomainMismatch("multiset labels collide; relabel the domain")
-    work = sum(
-        len(elements) ** arity for _, arity in delta.signature.symbols
-    )
-    if work > cap:
-        raise ResourceGuard(f"multiset domain of {len(elements)} exceeds cap")
     _, sums = _element_costs(delta, partition)
     tables = {}
     for symbol, arity in delta.signature.symbols:
@@ -422,10 +432,13 @@ def _search(
     in ints.  Tables are built only for the support of its solution.
     """
     delta, gamma = template.delta, template.gamma
-    elements = block_multiset_domain(delta.domain, partition)
-    count = len(gamma.domain) ** len(elements)
+    size = _element_count(len(delta.domain), partition)
+    # |Gamma|^size tables; past cap's bit length the power is over any cap
+    count = len(gamma.domain) ** min(size, cap.bit_length() + 1)
     if count > cap:
-        raise ResourceGuard(f"{count} block-symmetric tables exceed cap {cap}")
+        raise ResourceGuard(
+            f"{len(gamma.domain)}^{size} block-symmetric tables exceed cap {cap}"
+        )
     m = partition.arity
     work = sum(len(delta.domain) ** (a * m) for _, a in delta.signature.symbols)
     if work * max(1, count) > cap:
@@ -446,7 +459,7 @@ def _search(
         (cost_ids[symbol], operator.itemgetter(*elems)) for symbol, elems in sums
     ]
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for outputs in itertools.product(outs, repeat=len(elements)):
+    for outputs in itertools.product(outs, repeat=size):
         column = tuple([table[read(outputs)] for table, read in readers])
         if -1 not in column:
             reps.setdefault(column, outputs)

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: vertex enumeration for LPs, a
 dense Bareiss pivot, box enumeration for integer systems, a dense HNF, a
-scan-based column echelon form, a table-level witness search and the
-block-multiset costs over every arrangement of every argument.  These
+scan-based column echelon form, a table-level witness search, the
+block-multiset costs over every arrangement of every argument and a
+four-pass BLP builder.  These
 never share code with the solver paths they check; the witness-search
 reference shares only the LP solver, which has its own oracle above."""
 
@@ -400,3 +401,57 @@ def table_reference_search(template, partition):
         (g, x) for g, x in zip(reps.values(), res.point) if x > 0
     )
     return measure, len(rows)
+
+
+def reference_blp(delta, instance):
+    """The BLP's rows, rhs, objective, columns and eliminated columns,
+    built in four passes: a keep predicate over every column key, each
+    marginal row by a scan over all tuples through a position map, one
+    normalisation row per variable, and the objective by a second cost
+    lookup per kept column."""
+    dom = {
+        (j, t)
+        for j, term in enumerate(instance.terms)
+        for t in delta.dom(term.symbol)
+    }
+
+    def keep(key):
+        return key[0] == "mu" or (key[1], key[2]) in dom
+
+    columns, eliminated = [], []
+    for j, term in enumerate(instance.terms):
+        arity = delta.signature.arity(term.symbol)
+        for t in itertools.product(delta.domain, repeat=arity):
+            key = ("lam", j, t)
+            (columns if keep(key) else eliminated).append(key)
+    for x in instance.variables:
+        for a in delta.domain:
+            key = ("mu", x, a)
+            (columns if keep(key) else eliminated).append(key)
+    position = {k: i for i, k in enumerate(columns)}
+    n = len(columns)
+    rows, rhs = [], []
+    for j, term in enumerate(instance.terms):
+        arity = delta.signature.arity(term.symbol)
+        for ell in range(arity):
+            x = term.args[ell]
+            for a in delta.domain:
+                row = [0] * n
+                for t in itertools.product(delta.domain, repeat=arity):
+                    pos = position.get(("lam", j, t))
+                    if t[ell] == a and pos is not None:
+                        row[pos] += 1
+                row[position[("mu", x, a)]] -= 1
+                rows.append(row)
+                rhs.append(0)
+    for x in instance.variables:
+        row = [0] * n
+        for a in delta.domain:
+            row[position[("mu", x, a)]] += 1
+        rows.append(row)
+        rhs.append(1)
+    objective = [ZERO] * n
+    for i, key in enumerate(columns):
+        if key[0] == "lam":
+            objective[i] = delta.cost(instance.terms[key[1]].symbol, key[2])
+    return rows, rhs, objective, columns, eliminated

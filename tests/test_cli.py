@@ -167,6 +167,20 @@ def test_construct_cap_exceeded(files, capsys):
     assert code == EXIT_ERROR
 
 
+def test_construct_counts_enumerated_tuples(tmp_path, capsys, monkeypatch):
+    # xor over one block of 10 has 11 elements but visits 23.1 M argument
+    # tuples, over the default cap; the guard fires before any is listed
+    def enumerated(*args):
+        raise AssertionError("enumerated the block-multiset domain")
+
+    monkeypatch.setattr(cli.theory, "block_multiset_domain", enumerated)
+    s = tmp_path / "xor.pvcsp"
+    s.write_text(formats.print_structure(generators.xor_structure()))
+    code = main(["construct", "--structure", str(s), "--partition", "sizes:10"])
+    assert code == EXIT_ERROR
+    assert "over cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["sizes:a", "sizes:0", "sizes:2,-1", "sizes:"])
 def test_construct_malformed_partition(files, capsys, spec):
     _, s, _, _ = files

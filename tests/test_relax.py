@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from helpers import reference_blp
 
 from pvcsp import generators, relax
 from pvcsp.core import (
@@ -60,6 +62,40 @@ def test_build_blp_column_layout():
     # one marginal row per term coordinate and label, one normalisation
     # per variable; the lambda normalisations are implied
     assert len(blp.lp.rows) == 2 * 2 + 2
+
+
+def blp_ladder():
+    """Seeded (structure, instance) pairs over domains 1-3 and symbols of
+    arity 1-3, with an all-+inf symbol; each instance has terms with a
+    repeated variable and a variable in no term, plus no-terms cases."""
+    rng = random.Random(12)
+    symbols = (("f1", 1), ("f2", 2), ("f3", 3), ("e", 2))
+    for k in range(30):
+        domain = tuple(str(i) for i in range(1 + k % 3))
+        pool = generators.COST_POOL if k % 2 else generators.COST_POOL[:-1]
+        tables = {
+            name: {
+                t: PLUS_INF if name == "e" else rng.choice(pool)
+                for t in itertools.product(domain, repeat=arity)
+            }
+            for name, arity in symbols
+        }
+        delta = ValuedStructure(Signature(symbols), domain, tables)
+        terms = [
+            (name, [rng.choice("xyz") for _ in range(arity)])
+            for name, arity in symbols[: 3 + k % 2]
+        ]
+        terms += [("f2", ["y", "y"]), ("f3", ["x", "z", "x"])]
+        yield delta, inst(["x", "y", "z", "idle"], terms, 0)
+        if k < 3:
+            yield delta, inst(["x", "idle"], [], 0)
+
+
+def test_build_blp_matches_four_pass_reference():
+    for delta, ins in blp_ladder():
+        blp = build_blp(delta, ins)
+        got = (blp.lp.rows, blp.lp.rhs, blp.lp.objective)
+        assert got + (blp.index.columns, blp.index.eliminated) == reference_blp(delta, ins)
 
 
 def test_build_blp_contradictory_units_infeasible():
@@ -274,23 +310,34 @@ def test_refine_aip_drops_zero_columns():
 
 
 def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
-    # the AIP holds the BLP's own rows and rhs; no AIP step may mutate them
-    ins = inst(
-        ["x", "y", "z"],
-        [("xor1", ["x", "y"]), ("xor0", ["y", "z"]), ("xor1", ["x", "z"])],
-        0,
-    )
-    blp = build_blp(XOR, ins)
-    rows = [row[:] for row in blp.lp.rows]
-    rhs = list(blp.lp.rhs)
-    aip = relax._aip_of(blp)
-    assert aip.rows is blp.lp.rows and aip.rhs is blp.lp.rhs
-    aip_value(aip)
-    aip_value(refine_aip(aip, select_star_point(blp, F(0))))
-    monkeypatch.setattr(relax, "build_blp", lambda delta, instance: blp)
-    answer = combined_solve(XOR, ins)
-    assert answer.star_provenance is not None and answer.aff_value is not None
-    assert blp.lp.rows == rows and blp.lp.rhs == rhs
+    # the AIP holds the BLP's own rows and rhs, and the optimal-face check
+    # appends the objective to them in a new list; nothing may mutate them
+    cases = [
+        (
+            XOR,
+            inst(
+                ["x", "y", "z"],
+                [("xor1", ["x", "y"]), ("xor0", ["y", "z"]), ("xor1", ["x", "z"])],
+                0,
+            ),
+            FEASIBLE_INTERIOR,
+        ),
+        (WEIGHTED, inst(["x"], [("w", ["x"])], 0), OPTIMAL_FACE_INTERIOR),
+    ]
+    for delta, ins, provenance in cases:
+        blp = build_blp(delta, ins)
+        rows = [row[:] for row in blp.lp.rows]
+        rhs = list(blp.lp.rhs)
+        objective = list(blp.lp.objective)
+        aip = relax._aip_of(blp)
+        assert aip.rows is blp.lp.rows and aip.rhs is blp.lp.rhs
+        aip_value(aip)
+        aip_value(refine_aip(aip, select_star_point(blp, F(0))))
+        monkeypatch.setattr(relax, "build_blp", lambda delta, instance: blp)
+        answer = combined_solve(delta, ins)
+        assert answer.star_provenance == provenance and answer.aff_value is not None
+        assert blp.lp.rows == rows and blp.lp.rhs == rhs
+        assert blp.lp.objective == objective
 
 
 def test_refine_aip_restores_finite_value():

@@ -723,6 +723,20 @@ def test_find_fpol_cap():
         find_promise_fpol_lp(PromiseTemplate(delta, delta), 3, cap=100)
 
 
+def test_cap_guards_refuse_before_enumerating(monkeypatch):
+    # both guards count the elements and the tuples from the partition
+    # alone; m = 40 has 41 multisets, 2^40 unrestricted elements
+    def enumerated(*args):
+        raise AssertionError("enumerated the block-multiset domain")
+
+    monkeypatch.setattr(theory, "block_multiset_domain", enumerated)
+    delta = generators.xor_structure()
+    with pytest.raises(ResourceGuard):
+        block_multiset_structure(delta, BlockPartition.from_sizes([40]))
+    with pytest.raises(ResourceGuard):
+        find_promise_fpol_lp(PromiseTemplate(delta, delta), 40)
+
+
 # moving average
 
 
