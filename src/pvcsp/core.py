@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .core import (
     FiniteMeasure,

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .core import Instance, PromiseTemplate, Signature, Term, ValuedStructure, brute_force_min
+from .core import Instance, Signature, Term, ValuedStructure, brute_force_min
 from .values import PLUS_INF, is_finite
 
 COST_POOL = [

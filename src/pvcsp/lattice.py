@@ -3,6 +3,8 @@ systems, and exact evaluation of affine integer program values.
 
 A linear objective over an affine integer lattice is either constant or
 unbounded below, so a program value is always one of {+inf, finite, -inf}.
+One elimination carries a tail under A: the identity gives U, the objective
+row gives a program value without U.
 """
 
 from __future__ import annotations
@@ -32,11 +34,7 @@ class AffineLattice:
 INFEASIBLE = "infeasible"
 
 
-def _identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-# a sparse column: row -> nonzero int; rows 0..m-1 are H, m..m+n-1 are U
+# a sparse column: row -> nonzero int; rows 0..m-1 are H, rows m on the tail
 Column = dict[int, int]
 
 
@@ -63,15 +61,19 @@ def _addmul(
                 where[i].discard(j)
 
 
-def _echelon(A: IntMatrix) -> tuple[list[Column], list[tuple[int, int]]]:
-    """Column echelon form of A with its unimodular transform.
+def _echelon(
+    A: IntMatrix, tail: Optional[list[Column]] = None
+) -> tuple[list[Column], list[tuple[int, int]]]:
+    """Column echelon form of A with a tail T: tail[j] is column j's
+    entries from row m on, the identity by default.
 
-    Returns the columns of [H; U], A*U = H, each a dict over the nonzero
-    rows, and the pivots (row, column) in order: pivot k sits in column k,
-    is positive, and every column after it is zero in its row and above.
-    Entries left of a pivot are not reduced (hermite_normal_form does
-    that).  Each row is gcd-reduced over the columns not yet pivoted,
-    least absolute entry first (the leftmost on a tie).
+    Returns the columns of [H; T U], A*U = H, U unimodular, each a dict
+    over the nonzero rows, and the pivots (row, column) in order: pivot k
+    sits in column k, is positive, and every column after it is zero in its
+    row and above.  Entries left of a pivot are not reduced
+    (hermite_normal_form does that).  Each row is gcd-reduced over the
+    columns not yet pivoted: least absolute entry first, then fewest
+    nonzeros in the column, tail included, then leftmost.
 
     The work follows the nonzeros: where[r] holds the ids of the unpivoted
     columns nonzero in H row r.  It is built once from A, kept by _addmul,
@@ -81,8 +83,10 @@ def _echelon(A: IntMatrix) -> tuple[list[Column], list[tuple[int, int]]]:
     order.
     """
     m = len(A)
-    n = len(A[0]) if m else 0
-    cols: list[Column] = [{m + j: 1} for j in range(n)]
+    if tail is None:
+        tail = [{m + j: 1} for j in range(len(A[0]) if m else 0)]
+    n = len(tail)
+    cols: list[Column] = [dict(t) for t in tail]
     where: list[set[int]] = []
     for r, row in enumerate(A):
         where.append(set(compress(range(n), row)))
@@ -99,7 +103,7 @@ def _echelon(A: IntMatrix) -> tuple[list[Column], list[tuple[int, int]]]:
         if not nonzero:
             continue
         while True:
-            j = min(nonzero, key=lambda k: (abs(cols[k][r]), pos[k]))
+            j = min(nonzero, key=lambda k: (abs(cols[k][r]), len(cols[k]), pos[k]))
             # swap positions c and pos[j]
             p, i = pos[j], order[c]
             order[c], order[p], pos[j], pos[i] = j, i, c, p
@@ -136,61 +140,90 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return H, U
 
 
+def _width(A: IntMatrix, b: Sequence[int], ncols: Optional[int]) -> int:
+    """A's width, checked against b, every row and ncols (needed if no rows)."""
+    n = len(A[0]) if A else (ncols or 0)
+    if ncols is not None and ncols != n:
+        raise DimensionMismatch("ncols disagrees with matrix width")
+    if len(b) != len(A):
+        raise DimensionMismatch("rhs length != row count")
+    for row in A:
+        if len(row) != n:
+            raise DimensionMismatch("ragged matrix")
+    return n
+
+
+def _substitute(
+    cols: list[Column], pivots: list[tuple[int, int]], b: Sequence[int], width: int
+) -> Optional[list[int]]:
+    """T y for the integer y with H y = b, or None if there is none, from
+    _echelon's [H; T] (width rows of T): a pivot row fixes y_c, every other
+    row must already hold, and T y accumulates alongside."""
+    m = len(b)
+    if any(i < m for col in cols[len(pivots):] for i in col):
+        raise InvariantViolated("kernel column has a nonzero in H")
+    residual = list(b)
+    acc = [0] * width
+    pivot_of = dict(pivots)
+    for r in range(m):
+        c = pivot_of.get(r)
+        if c is None:
+            if residual[r] != 0:
+                return None
+            continue
+        y, rem = divmod(residual[r], cols[c][r])
+        if rem:
+            return None
+        if y:
+            for i, v in cols[c].items():
+                if i < m:
+                    residual[i] -= y * v
+                else:
+                    acc[i - m] += y * v
+    return acc
+
+
 def solve_integer_system(
     A: IntMatrix, b: Sequence[int], ncols: Optional[int] = None
 ) -> Union[AffineLattice, str]:
     """All integer solutions of Ax = b, or INFEASIBLE.
 
     ncols disambiguates the dimension when A has no rows.  The particular
-    solution comes from forward substitution on the echelon form; the
-    kernel basis is the unimodular columns past the rank profile.  The
-    HNF's reduction pass only adds pivot columns to earlier pivot columns,
-    so it would change neither the kernel columns nor U y, and is skipped.
+    solution x0 = U y comes from forward substitution on [H; U]; the kernel
+    basis is the unimodular columns past the rank profile.  The HNF's
+    reduction pass only adds pivot columns to earlier pivot columns, so it
+    would change neither the kernel columns nor U y, and is skipped.
     """
+    n = _width(A, b, ncols)
     m = len(A)
-    n = len(A[0]) if m else (ncols or 0)
-    if ncols is not None and ncols != n:
-        raise DimensionMismatch("ncols disagrees with matrix width")
-    if len(b) != m:
-        raise DimensionMismatch("rhs length != row count")
-    for row in A:
-        if len(row) != n:
-            raise DimensionMismatch("ragged matrix")
-    if m == 0:
-        return AffineLattice([0] * n, _identity(n), n)
-    if n == 0:
-        if any(v != 0 for v in b):
-            return INFEASIBLE
-        return AffineLattice([], [], 0)
-    cols, pivots = _echelon(A)
-    # H y = b row by row: a pivot row fixes y_c, every other row must
-    # already hold; x0 = U y accumulates alongside
-    residual = list(b)
-    x0 = [0] * n
-    pivot_of = dict(pivots)
-    for r in range(m):
-        c = pivot_of.get(r)
-        if c is None:
-            if residual[r] != 0:
-                return INFEASIBLE
-            continue
-        y, rem = divmod(residual[r], cols[c][r])
-        if rem:
-            return INFEASIBLE
-        if y:
-            for i, v in cols[c].items():
-                if i < m:
-                    residual[i] -= y * v
-                else:
-                    x0[i - m] += y * v
-    kernel = cols[len(pivots):]
-    if any(i < m for col in kernel for i in col):
-        raise InvariantViolated("kernel column has a nonzero in H")
-    basis = [[0] * n for _ in kernel]
-    for v, col in zip(basis, kernel):
-        for i, a in col.items():
-            v[i - m] = a
+    # with no rows there is nothing to eliminate: [H; U] is the identity
+    cols, pivots = _echelon(A) if m else ([{j: 1} for j in range(n)], [])
+    x0 = _substitute(cols, pivots, b, n)
+    if x0 is None:
+        return INFEASIBLE
+    basis = [[col.get(m + i, 0) for i in range(n)] for col in cols[len(pivots):]]
     return AffineLattice(x0, basis, n)
+
+
+def affine_min(A: IntMatrix, b: Sequence[int], c: Sequence[Fraction]) -> ExtVal:
+    """evaluate_affine_min(c, solve_integer_system(A, b, len(c))) without U.
+
+    The tail is c scaled to ints, so _echelon gives [H; c U]: substitution
+    yields c.x0, and a kernel column's tail entry is c on a kernel vector.
+    Any U gives the same value: particular solutions differ by a kernel
+    vector, on which c vanishes whenever the value is finite."""
+    m = len(A)
+    _width(A, b, len(c))
+    den = math.lcm(*(ci.denominator for ci in c))
+    tail = [{m: ci.numerator * (den // ci.denominator)} if ci else {} for ci in c]
+    cols, pivots = _echelon(A, tail)
+    acc = _substitute(cols, pivots, b, 1)
+    if acc is None:
+        return PLUS_INF
+    # _substitute checked that kernel columns hold tail entries only
+    if any(cols[len(pivots):]):
+        return MINUS_INF
+    return Fraction(acc[0], den)
 
 
 def evaluate_affine_min(

@@ -138,8 +138,9 @@ def blp_value(blp: BlpProgram) -> ExtVal:
 
 
 def aip_value(aip: AipProgram) -> ExtVal:
-    sol = lattice.solve_integer_system(aip.rows, aip.rhs, len(aip.objective))
-    return lattice.evaluate_affine_min(aip.objective, sol)
+    """min objective.x over the AIP's integer solutions, from one echelon
+    elimination under the objective row: no unimodular transform is built."""
+    return lattice.affine_min(aip.rows, aip.rhs, aip.objective)
 
 
 FEASIBLE_INTERIOR = "feasible-interior"

@@ -167,9 +167,10 @@ def dense_hermite_normal_form(A):
     """Reference column HNF on dense lists: (H, U) with A*U = H.
 
     Each row is gcd-reduced over the columns not yet pivoted (smallest
-    absolute entry first), the pivot made positive, and the entries left
-    of it reduced into [0, pivot) at once; every column operation walks
-    every row of H and U.
+    absolute entry first, then fewest nonzeros in the column of [H; U],
+    then leftmost), the pivot made positive, and the entries left of it
+    reduced into [0, pivot) at once; every column operation walks every
+    row of H and U.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -194,7 +195,14 @@ def dense_hermite_normal_form(A):
             nonzero = [j for j in range(c, n) if H[r][j] != 0]
             if not nonzero:
                 break
-            j = min(nonzero, key=lambda k: abs(H[r][k]))
+            j = min(
+                nonzero,
+                key=lambda k: (
+                    abs(H[r][k]),
+                    sum(1 for M in (H, U) for row in M if row[k]),
+                    k,
+                ),
+            )
             if j != c:
                 swap(c, j)
             done = True
@@ -216,13 +224,16 @@ def dense_hermite_normal_form(A):
     return H, U
 
 
-def scan_echelon(A, passes=None):
+def scan_echelon(A, passes=None, tail=None):
     """Reference for lattice._echelon: the same column echelon form of A
-    with its unimodular transform, found by scanning every unpivoted
-    column of each row on every gcd pass and swapping columns in a list.
+    with its tail, found by scanning every unpivoted column of each row on
+    every gcd pass and swapping columns in a list.  The pivot is the least
+    absolute entry, then the column of [H; tail] with fewest nonzeros,
+    then the leftmost.
 
-    Returns the columns of [H; U] (dicts over the nonzero rows, U from row
-    len(A) on) and the pivots (row, column).  When passes is a list, the
+    Returns the columns of [H; T U] (dicts over the nonzero rows, the tail
+    from row len(A) on; T is the identity unless tail gives each column's
+    tail entries) and the pivots (row, column).  When passes is a list, the
     number of gcd passes of each row with a nonzero is appended to it.
     """
 
@@ -235,8 +246,8 @@ def scan_echelon(A, passes=None):
                 del dst[i]
 
     m = len(A)
-    n = len(A[0]) if m else 0
-    cols = [{m + j: 1} for j in range(n)]
+    n = len(A[0]) if m else len(tail or ())
+    cols = [{m + j: 1} for j in range(n)] if tail is None else [dict(t) for t in tail]
     for r, row in enumerate(A):
         for j, a in enumerate(row):
             if a:
@@ -252,7 +263,7 @@ def scan_echelon(A, passes=None):
             if not nonzero:
                 break
             count += 1
-            j = min(nonzero, key=lambda k: abs(cols[k][r]))
+            j = min(nonzero, key=lambda k: (abs(cols[k][r]), len(cols[k]), k))
             cols[c], cols[j] = cols[j], cols[c]
             pivot = cols[c]
             done = True

@@ -78,3 +78,22 @@ def test_exact_kernels_have_no_true_division_or_float():
         or (isinstance(node, ast.Constant) and isinstance(node.value, float))
     ]
     assert found == []
+
+
+def test_no_unused_imports_in_package():
+    # every name a module imports is read in it; __init__.py only re-exports
+    found = []
+    for path in sorted((ROOT / "src" / "pvcsp").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{node.lineno} {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+            if name not in read
+        ]
+    assert found == []

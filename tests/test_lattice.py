@@ -15,8 +15,8 @@ from helpers import (
     gf2_satisfiable,
     scan_echelon,
 )
-from pvcsp import generators, lattice
-from pvcsp.core import Instance, Term
+from pvcsp import generators, lattice, relax
+from pvcsp.core import Instance, Signature, Term, ValuedStructure
 from pvcsp.errors import DimensionMismatch
 from pvcsp.lattice import (
     AffineLattice,
@@ -313,9 +313,9 @@ def test_indexed_echelon_matches_scan(monkeypatch):
     refined = []
     echelon = lattice._echelon
 
-    def capture(A):
+    def capture(A, *tail):
         refined.append([row[:] for row in A])
-        return echelon(A)
+        return echelon(A, *tail)
 
     monkeypatch.setattr(lattice, "_echelon", capture)
     structures = [
@@ -332,6 +332,87 @@ def test_indexed_echelon_matches_scan(monkeypatch):
     assert len(refined) >= 20
     for A in refined:
         assert lattice._echelon(A) == scan_echelon(A)
+
+
+def objectives(rng, A):
+    """A random Fraction objective over A's columns, the zero one, and
+    (y/d).A for random ints y and d, which vanishes on the kernel of A."""
+    n = len(A[0])
+    y, d = [rng.randint(-4, 4) for _ in A], rng.randint(1, 3)
+    return [
+        [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)],
+        [F(0)] * n,
+        [F(sum(yi * row[j] for yi, row in zip(y, A)), d) for j in range(n)],
+    ]
+
+
+def test_affine_min_matches_lattice_evaluation(monkeypatch):
+    """lattice.affine_min, one elimination under the objective row, gives
+    the value evaluate_affine_min reads off the full solution lattice; its
+    elimination is the scan's with the same tail."""
+    rng = random.Random(29)
+    systems = []
+    for A in echelon_inputs(rng, 600):
+        if rng.random() < 0.5:  # feasible by construction
+            x = [rng.randint(-3, 3) for _ in A[0]]
+            b = [sum(a * v for a, v in zip(row, x)) for row in A]
+        else:
+            b = [rng.randint(-6, 6) for _ in A]
+        systems.append((A, b))
+    for k in range(15):
+        aip = build_aip(XOR, xor_instance(rng, 20 + 40 * k // 14, k % 2 == 0)[0])
+        systems.append((aip.rows, aip.rhs))
+    cases = [(A, b, c) for A, b in systems for c in objectives(rng, A)]
+    # the refined AIPs that combined_solve builds, with their objectives
+    refined = []
+    value_of = relax.aip_value
+
+    def capture(aip):
+        refined.append((aip.rows, aip.rhs, aip.objective))
+        return value_of(aip)
+
+    monkeypatch.setattr(relax, "aip_value", capture)
+    structures = [
+        XOR,
+        generators.horn_structure(),
+        generators.submodular_structure(rng),
+        generators.random_structure(rng, 2),
+        generators.random_structure(rng, 3),
+    ]
+    for k in range(80):
+        delta = structures[k % len(structures)]
+        combined_solve(delta, generators.random_instance(rng, delta, 8, 8))
+    monkeypatch.undo()
+    assert len(refined) >= 20
+    cases += refined
+    # no rows, no columns, and the AIPs of a term-free instance and of a
+    # symbol whose every tuple costs +inf
+    empty = ValuedStructure(
+        Signature((("e", 1),)), ("0", "1"), {"e": {("0",): PLUS_INF, ("1",): PLUS_INF}}
+    )
+    edge = [
+        build_aip(XOR, Instance(("x",), (), F(0))),
+        build_aip(empty, Instance(("x",), (Term("e", ("x",)),), F(0))),
+    ]
+    cases += [(aip.rows, aip.rhs, aip.objective) for aip in edge]
+    cases += [
+        ([], [], []),
+        ([], [], [F(0)] * 3),
+        ([], [], [F(0), F(1, 2)]),
+        ([[], []], [0, 0], []),
+        ([[], []], [0, 1], []),
+    ]
+    seen = set()
+    for A, b, c in cases:
+        value = lattice.affine_min(A, b, c)
+        expected = evaluate_affine_min(c, solve_integer_system(A, b, len(c)))
+        assert (value, type(value)) == (expected, type(expected))
+        seen.add("finite" if is_finite(value) else value)
+    assert seen == {PLUS_INF, MINUS_INF, "finite"}
+    for A, _, c in cases[: 3 * len(systems)]:
+        den = math.lcm(*(ci.denominator for ci in c))
+        tail = [{len(A): ci.numerator * (den // ci.denominator)} if ci else {} for ci in c]
+        assert lattice._echelon(A, tail) == scan_echelon(A, tail=tail)
 
 
 def test_xor_aip_finite_iff_parity_satisfiable():
@@ -363,6 +444,39 @@ def corrupted(A):
 lattice._echelon = corrupted
 try:
     lattice.solve_integer_system([[1, 1]], [1])
+except InvariantViolated as exc:
+    print("caught:", exc)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout
+    assert out.splitlines() == ["caught: kernel column has a nonzero in H"]
+
+
+def test_kernel_column_check_survives_optimise_flag_on_aip_value():
+    # the AIP value's elimination under the objective row keeps the same
+    # kernel-column check, with asserts off
+    script = """
+from fractions import Fraction
+from pvcsp import generators, lattice, relax
+from pvcsp.core import Instance, Term
+from pvcsp.errors import InvariantViolated
+if __debug__:
+    raise SystemExit("asserts are still on")
+echelon = lattice._echelon
+def corrupted(A, *tail):
+    cols, pivots = echelon(A, *tail)
+    if len(cols) == len(pivots):
+        raise SystemExit("no kernel column to corrupt")
+    cols[-1][0] = 1
+    return cols, pivots
+lattice._echelon = corrupted
+instance = Instance(("x", "y"), (Term("xor1", ("x", "y")),), Fraction(0))
+try:
+    relax.aip_value(relax.build_aip(generators.xor_structure(), instance))
 except InvariantViolated as exc:
     print("caught:", exc)
 """
