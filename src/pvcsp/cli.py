@@ -74,7 +74,9 @@ def cmd_solve(args) -> int:
     if args.algorithm == "oracle":
         gamma = _load_structure(args.gamma) if args.gamma else delta
         cls = pvcsp_oracle(PromiseTemplate(delta, gamma), instance)
-        print(cls)
+        payload = {"verdict": cls, "blp_value": None, "star": None,
+                   "aff_value": None}
+        _emit(args, payload, cls)
         return EXIT_YES if cls in (YES, GAP) else EXIT_NO
     answer = relax.ENGINES[args.algorithm](delta, instance)
     _emit(

@@ -248,11 +248,6 @@ class FiniteMeasure:
         return iter(self.weights)
 
 
-def multisets_of_size(domain: Sequence[str], size: int) -> list[tuple[str, ...]]:
-    """All multisets of the given size, as sorted-by-domain-order tuples."""
-    return list(itertools.combinations_with_replacement(tuple(domain), size))
-
-
 def tuple_to_multiset(t: Sequence[str], domain: Sequence[str]) -> tuple[str, ...]:
     order = {a: i for i, a in enumerate(domain)}
     return tuple(sorted(t, key=lambda a: order[a]))

@@ -3,6 +3,9 @@
 One self-describing line-oriented family; rationals are rendered "p/q" and
 infinity as "inf".  Unlisted tuples of a symbol take the symbol's declared
 default, which keeps crisp fixtures small.  parse(print(x)) is the identity.
+A table entry "a1 ... ak : v" lists exactly k labels of the domain (of
+in_domain in a measure file) and one value, at most once per table.  Every
+malformed text raises FormatError.
 
 Structure file:
     domain 0 1
@@ -30,6 +33,8 @@ Measure file (fractional homomorphism or polymorphism):
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from fractions import Fraction
 from typing import Union
@@ -42,7 +47,7 @@ from .core import (
     Term,
     ValuedStructure,
 )
-from .errors import FormatError
+from .errors import DomainMismatch, FormatError
 from .theory import PromiseFpol
 from .values import PLUS_INF, format_value, parse_value
 
@@ -79,18 +84,47 @@ def _one_value(tokens: list[str]) -> str:
     return tokens[1]
 
 
+def _entry(tokens: list[str], arity: int, labels, table: dict, parse) -> None:
+    """Store the line `a1 ... ak : v` as table[(a1, ..., ak)] = parse(v)."""
+    sep = tokens.index(":")
+    args = tuple(tokens[:sep])
+    if len(args) != arity or len(tokens) != sep + 2:
+        raise FormatError(
+            f"expected {arity} labels and one value: {' '.join(tokens)}"
+        )
+    for a in args:
+        if a not in labels:
+            raise FormatError(f"label {a!r} outside the domain: {' '.join(tokens)}")
+    if args in table:
+        raise FormatError(f"duplicate entry: {' '.join(tokens)}")
+    table[args] = parse(tokens[sep + 1])
+
+
+def _format_errors(parse):
+    """The one boundary: what the objects built from the text reject (a bad
+    rational, a repeated label, a table that is not total, an output label
+    outside out_domain) becomes a FormatError."""
+
+    @functools.wraps(parse)
+    def parse_text(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError, DomainMismatch) as exc:
+            raise FormatError(str(exc)) from exc
+
+    return parse_text
+
+
+@_format_errors
 def parse_structure(text: str) -> ValuedStructure:
     domain: list[str] = []
     symbols: list[tuple[str, int]] = []
     tables: dict[str, dict] = {}
     defaults: dict[str, object] = {}
-    current: str | None = None
     for tokens in _lines(text, ("domain",)):
         head = tokens[0]
         if head == "domain":
             domain = tokens[1:]
-            if not domain:
-                raise FormatError("empty domain")
         elif head == "symbol":
             if len(tokens) != 5 or tokens[3] != "default":
                 raise FormatError(
@@ -98,47 +132,21 @@ def parse_structure(text: str) -> ValuedStructure:
                 )
             name = tokens[1]
             arity = _arity(tokens[2])
-            try:
-                defaults[name] = parse_value(tokens[4])
-            except ValueError as exc:
-                raise FormatError(str(exc)) from exc
+            defaults[name] = parse_value(tokens[4])
             symbols.append((name, arity))
             tables[name] = {}
-            current = name
         elif ":" in tokens:
-            if current is None:
+            if not symbols:
                 raise FormatError(f"table entry before any symbol: {tokens}")
-            sep = tokens.index(":")
-            args = tuple(tokens[:sep])
-            value_tokens = tokens[sep + 1 :]
-            if len(value_tokens) != 1:
-                raise FormatError(f"expected one value: {tokens}")
-            arity = dict(symbols)[current]
-            if len(args) != arity:
-                raise FormatError(
-                    f"entry for {current} has {len(args)} labels, arity {arity}"
-                )
-            for a in args:
-                if a not in domain:
-                    raise FormatError(f"label {a!r} outside the domain")
-            if args in tables[current]:
-                raise FormatError(f"duplicate entry for {current}: {tokens}")
-            try:
-                tables[current][args] = parse_value(value_tokens[0])
-            except ValueError as exc:
-                raise FormatError(str(exc)) from exc
+            # name and arity are the last symbol line's
+            _entry(tokens, arity, domain, tables[name], parse_value)
         else:
             raise FormatError(f"unrecognised line: {' '.join(tokens)}")
-    if not domain:
-        raise FormatError("structure file has no domain line")
     for name, arity in symbols:
         default = defaults[name]
         for t in itertools.product(domain, repeat=arity):
             tables[name].setdefault(t, default)
-    try:
-        return ValuedStructure(Signature(tuple(symbols)), domain, tables)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return ValuedStructure(Signature(tuple(symbols)), domain, tables)
 
 
 def print_structure(structure: ValuedStructure) -> str:
@@ -146,10 +154,8 @@ def print_structure(structure: ValuedStructure) -> str:
     for name, arity in structure.signature.symbols:
         table = structure.table(name)
         # the most common value becomes the default, rendering fewer lines
-        counts: dict[str, int] = {}
-        for v in table.values():
-            counts[format_value(v)] = counts.get(format_value(v), 0) + 1
-        default = max(sorted(counts), key=lambda k: counts[k])
+        counts = collections.Counter(map(format_value, table.values()))
+        default = max(sorted(counts), key=counts.__getitem__)
         lines.append(f"symbol {name} {arity} default {default}")
         for t in itertools.product(structure.domain, repeat=arity):
             rendered = format_value(table[t])
@@ -158,6 +164,7 @@ def print_structure(structure: ValuedStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_format_errors
 def parse_instance(text: str) -> Instance:
     variables: list[str] = []
     terms: list[Term] = []
@@ -171,10 +178,7 @@ def parse_instance(text: str) -> Instance:
                 raise FormatError(f"term needs a symbol and arguments: {tokens}")
             terms.append(Term(tokens[1], tuple(tokens[2:])))
         elif head == "threshold":
-            try:
-                value = parse_value(_one_value(tokens))
-            except ValueError as exc:
-                raise FormatError(str(exc)) from exc
+            value = parse_value(_one_value(tokens))
             if value is PLUS_INF:
                 raise FormatError("threshold must be finite")
             threshold = value
@@ -182,10 +186,7 @@ def parse_instance(text: str) -> Instance:
             raise FormatError(f"unrecognised line: {' '.join(tokens)}")
     if threshold is None:
         raise FormatError("instance file has no threshold")
-    try:
-        return Instance(tuple(variables), tuple(terms), threshold)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return Instance(tuple(variables), tuple(terms), threshold)
 
 
 def print_instance(instance: Instance) -> str:
@@ -200,13 +201,16 @@ FRACHOM = "frachom"
 FPOL = "fpol"
 
 
+@_format_errors
 def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
     kind = None
     arity = 1
     in_domain: tuple[str, ...] = ()
     out_domain: tuple[str, ...] = ()
     input_weights: tuple[Fraction, ...] | None = None
-    pairs: list[tuple[dict, Fraction]] = []
+    # per map line, its entry lines (read once every header is known) and
+    # its weight
+    maps: list[tuple[list[list[str]], Fraction]] = []
     once = ("measure", "arity", "in_domain", "out_domain", "input_weights")
     for tokens in _lines(text, once):
         head = tokens[0]
@@ -221,69 +225,46 @@ def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
         elif head == "out_domain":
             out_domain = tuple(tokens[1:])
         elif head == "input_weights":
-            try:
-                input_weights = tuple(Fraction(t) for t in tokens[1:])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(str(exc)) from exc
+            input_weights = tuple(Fraction(t) for t in tokens[1:])
         elif head == "map":
-            try:
-                weight = Fraction(_one_value(tokens))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(str(exc)) from exc
-            pairs.append(({}, weight))
+            maps.append(([], Fraction(_one_value(tokens))))
         elif ":" in tokens:
-            if not pairs:
+            if not maps:
                 raise FormatError("table entry before any map line")
-            sep = tokens.index(":")
-            args = tuple(tokens[:sep])
-            out = tokens[sep + 1 :]
-            if len(args) != arity or len(out) != 1:
-                raise FormatError(f"malformed map entry: {' '.join(tokens)}")
-            if args in pairs[-1][0]:
-                raise FormatError(f"duplicate map entry: {' '.join(tokens)}")
-            pairs[-1][0][args] = out[0]
+            maps[-1][0].append(tokens)
         else:
             raise FormatError(f"unrecognised line: {' '.join(tokens)}")
     if kind is None:
         raise FormatError("measure file has no measure line")
     if kind == FRACHOM and arity != 1:
         raise FormatError("a fractional homomorphism has arity 1")
-    try:
-        weighted = [
-            (OperationTable.from_map(in_domain, out_domain, arity, mapping), w)
-            for mapping, w in pairs
-        ]
-        measure = FiniteMeasure(tuple(weighted))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    weighted = []
+    for entries, w in maps:
+        mapping: dict[tuple[str, ...], str] = {}
+        for tokens in entries:
+            _entry(tokens, arity, in_domain, mapping, str)
+        g = OperationTable.from_map(in_domain, out_domain, arity, mapping)
+        weighted.append((g, w))
+    measure = FiniteMeasure(tuple(weighted))
     if kind == FRACHOM:
         return measure
     if input_weights is None:
         input_weights = tuple([Fraction(1, arity)] * arity)
-    try:
-        return PromiseFpol(input_weights, measure)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return PromiseFpol(input_weights, measure)
 
 
 def print_measure(measure: Union[FiniteMeasure, PromiseFpol]) -> str:
-    if isinstance(measure, PromiseFpol):
-        kind = FPOL
-        output = measure.output
-    else:
-        kind = FRACHOM
-        output = measure
+    fpol = isinstance(measure, PromiseFpol)
+    output = measure.output if fpol else measure
     g0 = output.support()[0]
     lines = [
-        f"measure {kind}",
+        f"measure {FPOL if fpol else FRACHOM}",
         f"arity {g0.arity}",
         "in_domain " + " ".join(g0.in_domain),
         "out_domain " + " ".join(g0.out_domain),
     ]
-    if isinstance(measure, PromiseFpol):
-        lines.append(
-            "input_weights " + " ".join(str(w) for w in measure.input_weights)
-        )
+    if fpol:
+        lines.append("input_weights " + " ".join(map(str, measure.input_weights)))
     for g, w in output:
         lines.append(f"map {w}")
         for args, out in g.entries:

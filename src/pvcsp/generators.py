@@ -106,19 +106,16 @@ def submodular_binary_table(rng: random.Random) -> dict:
             return t
 
 
-def submodular_structure(rng: random.Random, n_binary: int = 2, n_unary: int = 1) -> ValuedStructure:
-    symbols = []
-    tables = {}
+def submodular_structure(rng: random.Random) -> ValuedStructure:
+    """Two submodular binary tables and one unary, all finite."""
     finite_pool = [c for c in COST_POOL if is_finite(c)]
-    for i in range(n_binary):
-        name = f"f{i}"
-        symbols.append((name, 2))
-        tables[name] = submodular_binary_table(rng)
-    for i in range(n_unary):
-        name = f"u{i}"
-        symbols.append((name, 1))
-        tables[name] = {(a,): rng.choice(finite_pool) for a in B}
-    return ValuedStructure(Signature(tuple(symbols)), B, tables)
+    tables = {
+        "f0": submodular_binary_table(rng),
+        "f1": submodular_binary_table(rng),
+        "u0": {(a,): rng.choice(finite_pool) for a in B},
+    }
+    sig = Signature((("f0", 2), ("f1", 2), ("u0", 1)))
+    return ValuedStructure(sig, B, tables)
 
 
 def random_structure(
@@ -127,14 +124,13 @@ def random_structure(
     n_symbols: int = 2,
     max_arity: int = 2,
     allow_inf: bool = True,
-    name_prefix: str = "f",
 ) -> ValuedStructure:
     domain = tuple(str(i) for i in range(domain_size))
     pool = COST_POOL if allow_inf else [c for c in COST_POOL if is_finite(c)]
     symbols = []
     tables = {}
     for i in range(n_symbols):
-        name = f"{name_prefix}{i}"
+        name = f"f{i}"
         arity = rng.randint(1, max_arity)
         symbols.append((name, arity))
         tables[name] = {

@@ -33,7 +33,6 @@ from .core import (
     OperationTable,
     PromiseTemplate,
     ValuedStructure,
-    multisets_of_size,
     tuple_to_multiset,
 )
 from .errors import DomainMismatch, PreconditionViolated, ResourceGuard
@@ -238,9 +237,12 @@ def _element_count(domain_size: int, partition: BlockPartition) -> int:
 def block_multiset_domain(
     domain: Sequence[str], partition: BlockPartition
 ) -> list[tuple[tuple[str, ...], ...]]:
-    """Elements of the multiset structure: one multiset per block, in the
-    deterministic product order."""
-    per_block = [multisets_of_size(domain, len(b)) for b in partition.blocks]
+    """Elements of the multiset structure: one multiset per block, a tuple
+    in domain order, in the deterministic product order."""
+    per_block = [
+        itertools.combinations_with_replacement(tuple(domain), len(b))
+        for b in partition.blocks
+    ]
     return list(itertools.product(*per_block))
 
 
@@ -276,6 +278,19 @@ def _element_index(
         for a in itertools.product(domain, repeat=partition.arity)
     }
     return elements, element_of
+
+
+def _element_costs_size(
+    delta: ValuedStructure, partition: BlockPartition
+) -> tuple[int, int]:
+    """The argument tuples `_element_costs` visits (per symbol, one first
+    tuple per element times |D|^m per other position) and the most keys it
+    returns (per symbol, |E|^arity), counted without listing any."""
+    m, d = partition.arity, len(delta.domain)
+    count = _element_count(d, partition)
+    arities = [arity for _, arity in delta.signature.symbols]
+    tuples = sum(count * d ** (m * (a - 1)) for a in arities)
+    return tuples, sum(count**a for a in arities)
 
 
 def _element_costs(
@@ -316,13 +331,9 @@ def block_multiset_structure(
     """The k-block multiset structure: costs are minimum averaged alignments
     of the base costs.  A single block of size m gives the symmetric power
     structure; blocks of sizes L+1, L give the bimultiset structure."""
-    m, d = partition.arity, len(delta.domain)
-    # per symbol, the tuples _element_costs visits and the table entries
-    count = _element_count(d, partition)
-    work = sum(
-        count * d ** (m * (arity - 1)) + count**arity
-        for _, arity in delta.signature.symbols
-    )
+    m = partition.arity
+    # the tuples _element_costs visits, and the table entries
+    work = sum(_element_costs_size(delta, partition))
     if work > cap:
         raise ResourceGuard(f"multiset structure: {work} tuples over cap {cap}")
     elements = block_multiset_domain(delta.domain, partition)
@@ -439,10 +450,12 @@ def _search(
         raise ResourceGuard(
             f"{len(gamma.domain)}^{size} block-symmetric tables exceed cap {cap}"
         )
+    # the tuples _element_costs visits, then each candidate reads its rows
+    tuples, rows = _element_costs_size(delta, partition)
+    work = tuples + count * rows
+    if work > cap:
+        raise ResourceGuard(f"polymorphism search: {work} steps over cap {cap}")
     m = partition.arity
-    work = sum(len(delta.domain) ** (a * m) for _, a in delta.signature.symbols)
-    if work * max(1, count) > cap:
-        raise ResourceGuard("polymorphism search exceeds cap")
     element_of, sums = _element_costs(delta, partition)
     ids: dict = {PLUS_INF: -1}  # +inf is -1, a finite cost its position
     outs = range(len(gamma.domain))

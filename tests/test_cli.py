@@ -1,10 +1,12 @@
 import json
 import os
+import random
 
 import pytest
 
 from pvcsp import cli, formats, generators, relax
 from pvcsp.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_NO, EXIT_YES, main
+from pvcsp.core import GAP, YES, PromiseTemplate, pvcsp_oracle
 from pvcsp.errors import InvariantViolated
 
 STRUCTURE = """domain 0 1
@@ -210,11 +212,15 @@ def test_construct_malformed_partition(files, capsys, spec):
         ("structure", twice(STRUCTURE, "0 1 : 0")),
         ("instance", twice(SAT_INSTANCE, "vars x y")),
         ("instance", SAT_INSTANCE.replace("threshold 0", "threshold -1\nthreshold 0")),
+        # a map entry outside in_domain would be dropped from the table
+        ("measure", "measure fpol\narity 2\nin_domain 0 1\nout_domain 0 1\n"
+         "map 1\n0 0 : 0\n0 1 : 0\n1 0 : 0\n1 1 : 1\n2 2 : 0\n"),
     ],
     ids=["arity-x", "arity-missing", "weight-missing", "arity-negative",
          "directory", "not-utf8", "measure-twice", "arity-twice",
          "in-domain-twice", "out-domain-twice", "input-weights-twice",
-         "map-entry-twice", "entry-twice", "vars-twice", "threshold-twice"],
+         "map-entry-twice", "entry-twice", "vars-twice", "threshold-twice",
+         "map-label-outside-domain"],
 )
 def test_malformed_input_is_error(files, tmp_path, capsys, kind, content):
     _, s, sat, _ = files
@@ -233,6 +239,74 @@ def test_malformed_input_is_error(files, tmp_path, capsys, kind, content):
         argv = ["solve", "--structure", str(bad), "--instance", sat]
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _mutate(rng, text, pool):
+    """The text with one token replaced, inserted or deleted, or one line
+    inserted (a copy of another) or deleted."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    op = rng.randrange(5)
+    if op == 0:
+        tokens[rng.randrange(len(tokens))] = rng.choice(pool)
+    elif op == 1:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(pool))
+    elif op == 2:
+        del tokens[rng.randrange(len(tokens))]
+    lines[i] = " ".join(tokens)
+    if op == 3:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(lines))
+    elif op == 4:
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_files_exit_cleanly(files, tmp_path, capsys):
+    # a mutated file runs to a verdict or leaves with exit 2 and a message,
+    # never with a traceback
+    _, s, sat, _ = files
+    texts = [STRUCTURE, SAT_INSTANCE, ODD_CYCLE_INSTANCE, IDENTITY_FPOL]
+    pool = sorted({t for text in texts for t in text.split()})
+    pool += ["inf", "-inf", "1/0", "-1", "2", "x", "#", "frachom", "map"]
+    rng = random.Random(1414)
+    bad = tmp_path / "mutated"
+    codes = []
+    for i in range(500):
+        text = texts[i % 4]
+        bad.write_text(_mutate(rng, text, pool))
+        if text is IDENTITY_FPOL:
+            argv = ["check", "--measure", str(bad), "--structure", s]
+        else:
+            paths = [str(bad), sat] if text is STRUCTURE else [s, str(bad)]
+            engine = rng.choice([*relax.ENGINES, "oracle"])
+            argv = ["solve", "--structure", paths[0], "--instance", paths[1],
+                    "--algorithm", engine]
+        codes.append(main(argv))
+        err = capsys.readouterr().err
+        assert codes[-1] in (EXIT_YES, EXIT_NO, EXIT_ERROR), (argv, err)
+        if codes[-1] == EXIT_ERROR:
+            assert err.startswith("error: "), err
+    assert {EXIT_YES, EXIT_NO, EXIT_ERROR} <= set(codes)
+
+
+def test_solve_oracle_json(tmp_path, capsys):
+    out = tmp_path / "fixture"
+    assert main(["gen", "--family", "xor", "--seed", "7", "--output", str(out)]) == EXIT_YES
+    structure, instance = out / "structure.pvcsp", out / "instance.pvcsp"
+    delta = formats.parse_structure(structure.read_text())
+    expected = pvcsp_oracle(
+        PromiseTemplate(delta, delta), formats.parse_instance(instance.read_text())
+    )
+    argv = ["solve", "--structure", str(structure), "--instance", str(instance),
+            "--algorithm", "oracle"]
+    code = main(argv + ["--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"verdict": expected, "blp_value": None, "star": None,
+                       "aff_value": None}
+    assert code == (EXIT_YES if expected in (YES, GAP) else EXIT_NO)
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_compare_unknown_engine(capsys):

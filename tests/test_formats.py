@@ -118,6 +118,25 @@ def test_malformed_inputs_rejected():
         formats.parse_measure("measure blah\n")
 
 
+def test_every_malformed_text_raises_format_error():
+    # what the built objects reject leaves each parser as FormatError too
+    cases = [
+        (formats.parse_structure, "domain 0 1\nsymbol f 1 default 1/0\n"),
+        (formats.parse_structure, "domain\nsymbol f 1 default 0\n"),
+        (formats.parse_structure, "domain 0 1\nsymbol f 1 default 0\n0 : 1 : 0\n"),
+        (formats.parse_instance, "vars x\nterm f x\nthreshold 1/0\n"),
+        (formats.parse_measure, FPOL_TEXT.replace("input_weights 1/2 1/2", "input_weights 1/0 1")),
+        (formats.parse_measure, FPOL_TEXT.replace("map 1", "map 1/0")),
+        (formats.parse_measure, FPOL_TEXT.replace("1 1 : 1", "1 1 : 2")),
+        (formats.parse_measure, FPOL_TEXT.replace("in_domain 0 1", "in_domain 0")),
+        (formats.parse_measure, FPOL_TEXT.replace("1 1 : 1", "")),
+        (formats.parse_measure, "measure frachom\n"),
+    ]
+    for parse, text in cases:
+        with pytest.raises(FormatError):
+            parse(text)
+
+
 def test_print_structure_defaults_to_majority_value():
     from pvcsp.core import Signature, ValuedStructure
 

@@ -723,6 +723,18 @@ def test_find_fpol_cap():
         find_promise_fpol_lp(PromiseTemplate(delta, delta), 3, cap=100)
 
 
+def test_search_guard_counts_the_enumerated_work():
+    # [6] over xor visits 7 * (2 * 2^6 + 2 * 2^12) tuples, then reads 2^7
+    # candidates over at most 2 * 7^2 + 2 * 7^3 rows: far under the cap
+    xor = generators.xor_structure()
+    partition = BlockPartition.from_sizes([6])
+    tuples, rows = theory._element_costs_size(xor, partition)
+    assert (tuples, rows) == (58_240, 784)
+    assert len(theory._element_costs(xor, partition)[1]) <= rows
+    template = PromiseTemplate(xor, xor)
+    assert find_promise_fpol_lp(template, 6, partition=partition) == NONE_EXISTS
+
+
 def test_cap_guards_refuse_before_enumerating(monkeypatch):
     # both guards count the elements and the tuples from the partition
     # alone; m = 40 has 41 multisets, 2^40 unrestricted elements
