@@ -23,7 +23,7 @@ from .core import (
     pvcsp_oracle,
     YES,
 )
-from .errors import FormatError, InvariantViolated, PvcspError
+from .errors import FormatError, InvariantViolated, PreconditionViolated, PvcspError
 from .theory import BlockPartition, PromiseFpol
 from .values import format_value
 
@@ -69,6 +69,8 @@ def _format_optional(value) -> Optional[str]:
 
 
 def cmd_solve(args) -> int:
+    if args.gamma and args.algorithm != "oracle":
+        raise PreconditionViolated("--gamma is read only by --algorithm oracle")
     delta = _load_structure(args.structure)
     instance = _load_instance(args.instance)
     if args.algorithm == "oracle":

@@ -8,11 +8,13 @@ fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
 so pricing is a scan of that row.  A pivot costs what the pivot row's
 nonzeros cost on a row already over the pivot's denominator (most rows of
 a 0/±1 program), and every basic solution handed out is checked against
-the scaled input rows through their column index.  Also provides the
+the scaled input rows through their column index; the optimum's value is
+summed from those checked ints and divided once.  Also provides the
 relative-interior machinery: a support profile (which coordinates can be
 positive over the feasible region or over its optimal face) and a
 relative interior point, the average, in ints, of the witnesses found by
-warm support rounds on the one tableau that phase 1 built.
+warm support rounds on the one tableau that phase 1 built, handed out as
+ints over one denominator or as Fractions.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class LPResult:
     value: Optional[Fraction] = None
     point: Optional[list[Fraction]] = None
     ray: Optional[list[Fraction]] = None  # improving ray when unbounded
+    # when optimal: d and the point's nonzero coordinates in ints over d
+    witness: Optional[tuple[int, dict[int, int]]] = None
 
 
 def _eliminate(
@@ -301,16 +305,30 @@ class WarmLP:
         self.tab = _phase1(lp)  # None when the region is empty
 
     def minimise(self) -> LPResult:
-        """Phase 2; Optimal returns a minimising basic solution."""
+        """Phase 2; Optimal returns a minimising basic solution.
+
+        The value is summed in ints, the checked basic entries over d times
+        the basic objective entries over the lcm L of their denominators,
+        and divided by L * d once."""
         if self.tab is None:
             return LPResult(INFEASIBLE)
         tab = self.tab
-        enter = tab.run(self.lp.objective, range(self.lp.n))
+        objective = self.lp.objective
+        enter = tab.run(objective, range(self.lp.n))
         if enter is not None:
             return LPResult(UNBOUNDED, point=tab.solution(), ray=tab.ray(enter))
-        point = tab.solution()
-        value = sum((self.lp.objective[b] * point[b] for b in tab.basis), ZERO)
-        return LPResult(OPTIMAL, value=value, point=point)
+        d, basic = tab.d, tab.witness(None)
+        point = [ZERO] * self.lp.n
+        for b, v in basic.items():
+            point[b] = Fraction(v, d)
+        costs = [objective[b] for b in basic]
+        lcm = math.lcm(*(c.denominator for c in costs))
+        total = sum(
+            c.numerator * (lcm // c.denominator) * v
+            for c, v in zip(costs, basic.values())
+        )
+        value = Fraction(total, lcm * d)
+        return LPResult(OPTIMAL, value=value, point=point, witness=(d, basic))
 
     def optimum(self) -> LPResult:
         """minimise, raising unless the objective attains a minimum."""
@@ -324,10 +342,20 @@ class WarmLP:
     def interior_point(self) -> tuple[list[Fraction], list[bool]]:
         """A feasible point positive exactly on the support profile, and
         the profile: flag_i is true iff x_i can be positive in the region."""
-        return self._rounds(range(self.lp.n))
+        ints, den, flags = self.interior_ints()
+        return divided(ints, den), flags
 
     def face_interior_point(self) -> tuple[list[Fraction], list[bool]]:
-        """interior_point of the optimal face.
+        """interior_point of the optimal face."""
+        ints, den, flags = self.face_interior_ints()
+        return divided(ints, den), flags
+
+    def interior_ints(self) -> tuple[list[int], int, list[bool]]:
+        """interior_point as ints over one denominator: (ints, den, flags)."""
+        return self._rounds(range(self.lp.n))
+
+    def face_interior_ints(self) -> tuple[list[int], int, list[bool]]:
+        """interior_ints of the optimal face.
 
         At an optimal basis c.x = z* + sum_j red_j x_j on the region, with
         every red_j >= 0, so the optimal face is the region restricted to
@@ -337,7 +365,7 @@ class WarmLP:
         red = self.tab.red  # as phase 2 left it, at an optimal basis
         return self._rounds([j for j in range(self.lp.n) if red[j] == 0])
 
-    def _rounds(self, allowed) -> tuple[list[Fraction], list[bool]]:
+    def _rounds(self, allowed) -> tuple[list[int], int, list[bool]]:
         """Support rounds over the allowed columns, from the current basis.
 
         The basic solution is the first witness.  Each round minimises
@@ -347,7 +375,9 @@ class WarmLP:
         makes at least one of them positive, so at most n rounds run.  An
         optimum of 0 proves the rest are 0 all over the region.  The
         uniform average of the witnesses keeps the equalities and is
-        positive on every flagged coordinate, by convexity.
+        positive on every flagged coordinate, by convexity.  It is handed
+        out as the witnesses' sum over the lcm of their denominators, in
+        ints, with that lcm times their count as its denominator.
         """
         tab = self.tab
         if tab is None:
@@ -372,8 +402,12 @@ class WarmLP:
         for d, witness in witnesses:
             for j, v in witness.items():
                 total[j] += v * (lcm // d)
-        point = [Fraction(t, lcm * len(witnesses)) if t else ZERO for t in total]
-        return point, flags
+        return total, lcm * len(witnesses), flags
+
+
+def divided(ints: list[int], den: int) -> list[Fraction]:
+    """The Fractions ints[j] / den."""
+    return [Fraction(t, den) if t else ZERO for t in ints]
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:

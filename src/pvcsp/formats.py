@@ -49,7 +49,7 @@ from .core import (
 )
 from .errors import DomainMismatch, FormatError
 from .theory import PromiseFpol
-from .values import PLUS_INF, format_value, parse_value
+from .values import PLUS_INF, format_value, parse_rational, parse_value
 
 
 def _lines(text: str, once: tuple[str, ...]) -> list[list[str]]:
@@ -225,9 +225,9 @@ def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
         elif head == "out_domain":
             out_domain = tuple(tokens[1:])
         elif head == "input_weights":
-            input_weights = tuple(Fraction(t) for t in tokens[1:])
+            input_weights = tuple(map(parse_rational, tokens[1:]))
         elif head == "map":
-            maps.append(([], Fraction(_one_value(tokens))))
+            maps.append(([], parse_rational(_one_value(tokens))))
         elif ":" in tokens:
             if not maps:
                 raise FormatError("table entry before any map line")

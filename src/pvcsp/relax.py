@@ -8,7 +8,10 @@ LP side aligns coordinate-for-coordinate with the integer program.
 Tuples outside dom(f) are eliminated from the column set rather than
 constrained to zero, and the refinement eliminates further columns.  The
 BLP is built in one pass over each term's tuples, and the star point's
-optimal-face check shares the BLP's rows rather than copying them.
+optimal-face check shares the BLP's rows rather than copying them.  The
+BLP's phase 2 runs once, for its value and its star point; the star
+point's cost, its mix with the optimal vertex and its check are sums of
+ints over one denominator, and its Fractions are built once at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .exactlp import LinearProgram, Rational
 from .values import PLUS_INF, ExtVal, format_value, is_finite
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 # column keys: ("lam", term index, tuple) and ("mu", variable, label)
 ColKey = tuple
@@ -48,11 +52,14 @@ class BlpProgram:
 
     @functools.cached_property
     def warm(self) -> exactlp.WarmLP:
-        """The one phase 1 that blp_value and select_star_point share.
-
-        Phase 2 run again from an optimal basis makes no pivot, so
-        select_star_point after blp_value repeats only the pricing."""
+        """The one phase 1 that blp_value and select_star_point share."""
         return exactlp.WarmLP(self.lp)
+
+    @functools.cached_property
+    def phase2(self) -> exactlp.LPResult:
+        """The one phase 2 on warm, read by blp_value and select_star_point;
+        the support rounds start from the basis it leaves."""
+        return self.warm.minimise()
 
 
 @dataclass
@@ -129,7 +136,7 @@ def _aip_of(blp: BlpProgram) -> AipProgram:
 
 
 def blp_value(blp: BlpProgram) -> ExtVal:
-    res = blp.warm.minimise()
+    res = blp.phase2
     if res.status == exactlp.INFEASIBLE:
         return PLUS_INF
     if res.status != exactlp.OPTIMAL:
@@ -170,24 +177,22 @@ def _int_row(row: list[Rational], b: Rational) -> tuple[list[tuple[int, int]], i
 
 
 def _check_star_invariants(
-    blp: BlpProgram, point: list[Fraction], flags: list[bool], u: Fraction
+    blp: BlpProgram, ints: list[int], den: int, flags: list[bool], u: Fraction
 ) -> None:
-    """Raise InvariantViolated unless the point is feasible, costs at most
-    u and is positive exactly where flagged.
+    """Raise InvariantViolated unless the point ints / den is feasible,
+    costs at most u and is positive exactly where flagged.
 
-    Exact, in ints: the point is scaled by the lcm D of its denominators,
-    so a scaled row holds when its dot product with D x is D times its rhs.
+    Exact, in ints: a scaled row holds at the point when its dot product
+    with the ints is den times its rhs.
     """
-    scale = math.lcm(*(x.denominator for x in point))
-    ints = [x.numerator * (scale // x.denominator) for x in point]
     for row, b in zip(blp.lp.rows, blp.lp.rhs):
         terms, rhs = _int_row(row, b)
-        if sum(a * ints[j] for j, a in terms) != rhs * scale:
+        if sum(a * ints[j] for j, a in terms) != rhs * den:
             raise InvariantViolated("star point violates an equality")
     if any(x < 0 for x in ints):
         raise InvariantViolated("star point has a negative coordinate")
     terms, bound = _int_row(blp.lp.objective, u)
-    if sum(c * ints[j] for j, c in terms) > bound * scale:
+    if sum(c * ints[j] for j, c in terms) > bound * den:
         raise InvariantViolated("star point costs more than the threshold")
     if any((x > 0) != f for x, f in zip(ints, flags)):
         raise InvariantViolated("star point support differs from its flags")
@@ -199,41 +204,52 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
     A relative interior point of the feasibility polytope with cost <= u if
     one exists (directly, or as a strict convex combination with an optimal
     vertex), else a relative interior point of the optimal face.  The BLP's
-    one phase 1 (blp.warm, shared with blp_value) serves all three: the
-    optimum, the support rounds that start from the optimal vertex, and the
-    optimal face's support rounds.
+    one phase 1 and phase 2 (blp.warm and blp.phase2, shared with
+    blp_value) serve all three: the optimum, the support rounds that start
+    from the optimal vertex, and the optimal face's support rounds.  Every
+    point is ints over one denominator until its values are built, and the
+    costs and the mix are computed in ints.
     """
-    warm = blp.warm
-    res = warm.minimise()
+    res = blp.phase2
     if res.status != exactlp.OPTIMAL or not res.value <= u:
         raise PreconditionViolated("select_star_point requires blp value <= u")
-    p, flags = warm.interior_point()
-    cost_p = sum(
-        map(operator.mul, itertools.compress(blp.lp.objective, p), filter(None, p)),
-        ZERO,
-    )
-    if cost_p <= u:
-        _check_star_invariants(blp, p, flags, u)
-        return StarPoint(p, FEASIBLE_INTERIOR, blp.index)
-    if res.value < u:
+    warm = blp.warm
+    p, pd, flags = warm.interior_ints()
+    checked, provenance = blp, FEASIBLE_INTERIOR
+    # the objective over the lcm L of its denominators (rhs 1 scales to L),
+    # so cost(p) = cost / scale
+    terms, lcm = _int_row(blp.lp.objective, ONE)
+    cost = sum(c * p[j] for j, c in terms)
+    scale = lcm * pd
+    if cost * u.denominator <= u.numerator * scale:
+        ints, den = p, pd
+    elif res.value < u:
         # cost(p) > u > m: mix towards the optimal vertex just past the
-        # cost-u crossing; a strict combination with an interior point stays
-        # in the relative interior
-        theta_star = (cost_p - u) / (cost_p - res.value)
-        theta = (theta_star + 1) / 2
-        mixed = [
-            (1 - theta) * a + theta * b for a, b in zip(p, res.point)
-        ]
-        _check_star_invariants(blp, mixed, flags, u)
-        return StarPoint(mixed, FEASIBLE_INTERIOR, blp.index)
-    q, face_flags = warm.face_interior_point()
-    lp = blp.lp
-    # the optimal face: the BLP's own rows, shared, and objective = optimum
-    face = LinearProgram(
-        lp.n, lp.rows + [lp.objective], lp.rhs + [res.value], lp.objective
-    )
-    _check_star_invariants(BlpProgram(face, blp.index), q, face_flags, u)
-    return StarPoint(q, OPTIMAL_FACE_INTERIOR, blp.index)
+        # cost-u crossing, (1 - theta) p + theta v with theta the midpoint
+        # of theta* = (cost(p) - u) / (cost(p) - m) and 1; a strict
+        # combination with an interior point stays in the relative interior;
+        # theta* is over_u / over_m, both over one positive denominator
+        m = res.value
+        over_u = (cost * u.denominator - u.numerator * scale) * m.denominator
+        over_m = (cost * m.denominator - m.numerator * scale) * u.denominator
+        g = math.gcd(over_u + over_m, 2 * over_m)
+        t, td = (over_u + over_m) // g, 2 * over_m // g
+        vd, vertex = res.witness
+        a, b = (td - t) * vd, t * pd
+        ints = [a * x for x in p]
+        for j, v in vertex.items():
+            ints[j] += b * v
+        den = td * pd * vd
+    else:
+        ints, den, flags = warm.face_interior_ints()
+        lp = blp.lp
+        # the optimal face: the BLP's own rows, shared, and objective = optimum
+        face = LinearProgram(
+            lp.n, lp.rows + [lp.objective], lp.rhs + [res.value], lp.objective
+        )
+        checked, provenance = BlpProgram(face, blp.index), OPTIMAL_FACE_INTERIOR
+    _check_star_invariants(checked, ints, den, flags, u)
+    return StarPoint(exactlp.divided(ints, den), provenance, blp.index)
 
 
 def refine_aip(aip: AipProgram, star: StarPoint) -> AipProgram:

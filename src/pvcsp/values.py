@@ -6,6 +6,7 @@ compare and add the way cost arithmetic needs them to.  No floats anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -91,6 +92,21 @@ def is_finite(v: ExtVal) -> bool:
     return isinstance(v, Fraction)
 
 
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse the canonical rendering of a rational, ``[-]digits[/digits]``
+    in ASCII digits: no exponent, point, underscore or + sign, so the text
+    bounds the size of the number."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r}") from exc
+
+
 def parse_value(text: str) -> ExtRat:
     """Parse the canonical rendering: ``inf`` or ``[-]digits[/digits]``."""
     text = text.strip()
@@ -98,10 +114,7 @@ def parse_value(text: str) -> ExtRat:
         return PLUS_INF
     if text == "-inf":
         raise ValueError("-inf is not a valid cost value")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+    return parse_rational(text)
 
 
 def format_value(v: ExtVal) -> str:

@@ -1,10 +1,11 @@
 """Independent oracles used by the tests: vertex enumeration for LPs, a
 dense Bareiss pivot, box enumeration for integer systems, a dense HNF, a
 scan-based column echelon form, a table-level witness search, the
-block-multiset costs over every arrangement of every argument and a
-four-pass BLP builder.  These
+block-multiset costs over every arrangement of every argument, a
+four-pass BLP builder and the star point's arithmetic in Fractions.  These
 never share code with the solver paths they check; the witness-search
-reference shares only the LP solver, which has its own oracle above."""
+reference shares only the LP solver, which has its own oracle above, and
+the star-point reference only the simplex and its support rounds."""
 
 from __future__ import annotations
 
@@ -466,3 +467,33 @@ def reference_blp(delta, instance):
         if key[0] == "lam":
             objective[i] = delta.cost(instance.terms[key[1]].symbol, key[2])
     return rows, rhs, objective, columns, eliminated
+
+
+def fraction_star_point(lp, u=None):
+    """The star point with every sum after the simplex in Fractions.
+
+    On a fresh WarmLP of the BLP's lp: phase 2's value summed over the
+    basis, the interior point's cost, theta* = (cost - u) / (cost - value),
+    theta = (theta* + 1) / 2 and the mix (1 - theta) p + theta v with the
+    optimal vertex v.  u defaults to the value.  Returns the value, the
+    interior point's cost, the star values, the provenance and the branch
+    taken ("interior", "mix" or "face"); all but the value are None when
+    the value exceeds u, and all five when the region is empty."""
+    warm = exactlp.WarmLP(lp)
+    res = warm.minimise()
+    if res.status != exactlp.OPTIMAL:
+        return None, None, None, None, None
+    value = sum((lp.objective[b] * res.point[b] for b in warm.tab.basis), ZERO)
+    u = value if u is None else u
+    if not value <= u:
+        return value, None, None, None, None
+    p, _ = warm.interior_point()
+    cost = sum((c * x for c, x in zip(lp.objective, p)), ZERO)
+    if cost <= u:
+        return value, cost, p, "feasible-interior", "interior"
+    if value < u:
+        theta = ((cost - u) / (cost - value) + 1) / 2
+        mixed = [(1 - theta) * a + theta * b for a, b in zip(p, res.point)]
+        return value, cost, mixed, "feasible-interior", "mix"
+    q, _ = warm.face_interior_point()
+    return value, cost, q, "optimal-face-interior", "face"

@@ -215,12 +215,15 @@ def test_construct_malformed_partition(files, capsys, spec):
         # a map entry outside in_domain would be dropped from the table
         ("measure", "measure fpol\narity 2\nin_domain 0 1\nout_domain 0 1\n"
          "map 1\n0 0 : 0\n0 1 : 0\n1 0 : 0\n1 1 : 1\n2 2 : 0\n"),
+        # a value outside [-]digits[/digits]: an exponent is a huge integer
+        ("structure", STRUCTURE.replace("default inf", "default 1e400")),
+        ("measure", IDENTITY_FPOL.replace("input_weights 1", "input_weights 1.0")),
     ],
     ids=["arity-x", "arity-missing", "weight-missing", "arity-negative",
          "directory", "not-utf8", "measure-twice", "arity-twice",
          "in-domain-twice", "out-domain-twice", "input-weights-twice",
          "map-entry-twice", "entry-twice", "vars-twice", "threshold-twice",
-         "map-label-outside-domain"],
+         "map-label-outside-domain", "default-exponent", "weight-decimal"],
 )
 def test_malformed_input_is_error(files, tmp_path, capsys, kind, content):
     _, s, sat, _ = files
@@ -307,6 +310,19 @@ def test_solve_oracle_json(tmp_path, capsys):
     assert code == (EXIT_YES if expected in (YES, GAP) else EXIT_NO)
     assert main(argv) == code
     assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("engine", sorted(relax.ENGINES))
+def test_gamma_only_with_oracle(files, tmp_path, capsys, engine):
+    # every engine but the oracle would ignore --gamma; it is an error
+    # before any file is read
+    _, s, sat, _ = files
+    argv = ["solve", "--structure", s, "--instance", sat,
+            "--gamma", str(tmp_path / "missing.pvcsp"), "--algorithm", engine]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: --gamma is read only by --algorithm oracle\n"
+    assert captured.out == ""
 
 
 def test_compare_unknown_engine(capsys):

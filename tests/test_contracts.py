@@ -66,11 +66,11 @@ def test_no_assert_statements_in_package():
 
 
 def test_exact_kernels_have_no_true_division_or_float():
-    # the LP and lattice kernels divide only with // on ints or through
-    # Fraction(...), so no float can reach a verdict
+    # the LP and lattice kernels and the relaxations' star point divide only
+    # with // on ints or through Fraction(...), so no float can reach a verdict
     found = [
         f"{name}:{node.lineno}"
-        for name in ("exactlp.py", "lattice.py")
+        for name in ("exactlp.py", "lattice.py", "relax.py")
         for node in ast.walk(
             ast.parse((ROOT / "src" / "pvcsp" / name).read_text(encoding="utf-8"))
         )

@@ -6,9 +6,9 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from helpers import reference_blp
+from helpers import fraction_star_point, reference_blp
 
-from pvcsp import generators, relax
+from pvcsp import exactlp, generators, relax
 from pvcsp.core import (
     GAP,
     Instance,
@@ -264,11 +264,13 @@ def test_select_star_point_interior_meets_loose_threshold():
 
 
 def test_star_invariants_survive_optimise_flag():
-    # under python -O every assert vanishes; the star-point check must not
+    # under python -O every assert vanishes; the star-point check must not,
+    # neither called directly nor on the mix with a corrupted optimal vertex
     script = """
+import math
 from fractions import Fraction as F
 from pvcsp import generators, relax
-from pvcsp.core import Instance, Term
+from pvcsp.core import Instance, Signature, Term, ValuedStructure
 from pvcsp.errors import InvariantViolated
 if __debug__:
     raise SystemExit("asserts are still on")
@@ -276,10 +278,22 @@ ins = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
 blp = relax.build_blp(generators.xor_structure(), ins)
 star = relax.select_star_point(blp, F(0))
 flags = [v > 0 for v in star.values]
-bad = list(star.values)
-bad[0] += 1
+den = math.lcm(*(v.denominator for v in star.values))
+bad = [v.numerator * (den // v.denominator) for v in star.values]
+bad[0] += den
 try:
-    relax._check_star_invariants(blp, bad, flags, F(0))
+    relax._check_star_invariants(blp, bad, den, flags, F(0))
+except InvariantViolated as exc:
+    print("caught:", exc)
+weighted = ValuedStructure(
+    Signature((("w", 1),)), ("0", "1"), {"w": {("0",): F(0), ("1",): F(1)}}
+)
+ins = Instance(("x",), (Term("w", ("x",)),), F(1, 4))
+blp = relax.build_blp(weighted, ins)
+_, vertex = blp.phase2.witness
+vertex[min(vertex)] += 1
+try:
+    relax.select_star_point(blp, F(1, 4))
 except InvariantViolated as exc:
     print("caught:", exc)
 """
@@ -289,7 +303,57 @@ except InvariantViolated as exc:
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
-    assert out.startswith("caught: star point violates an equality")
+    assert out.splitlines() == ["caught: star point violates an equality"] * 2
+
+
+def mixed_denominator_structure(rng):
+    """Two symbols of arity 1 and 2 over domain 2 or 3, costs k / q with
+    q from 1 to 9 mixed within each table, and a +inf entry now and then."""
+    domain = tuple(str(i) for i in range(rng.choice([2, 2, 3])))
+    symbols = (("f", 1), ("g", 2))
+
+    def cost():
+        if rng.random() < 0.1:
+            return PLUS_INF
+        return F(rng.randint(0, 12), rng.randint(1, 9))
+
+    tables = {
+        name: {t: cost() for t in itertools.product(domain, repeat=arity)}
+        for name, arity in symbols
+    }
+    return ValuedStructure(Signature(symbols), domain, tables)
+
+
+def test_star_point_ints_match_fraction_reference(monkeypatch):
+    # the value, cost, theta and mix computed in ints over one denominator
+    # give the Fraction sums' value and star point, and blp_value followed by
+    # select_star_point runs phase 2 once (twice on the optimal face, whose
+    # own optimum runs after the rounds)
+    calls = []
+    minimise = exactlp.WarmLP.minimise
+    monkeypatch.setattr(
+        exactlp.WarmLP, "minimise", lambda warm: calls.append(warm) or minimise(warm)
+    )
+    rng = random.Random(83)
+    branches = {"interior": 0, "mix": 0, "face": 0}
+    for k in range(150):
+        delta = mixed_denominator_structure(rng)
+        instance = generators.random_instance(rng, delta, 6, 6)
+        lp = build_blp(delta, instance).lp
+        value, cost, _, _, _ = fraction_star_point(lp)
+        if value is None:
+            assert blp_value(build_blp(delta, instance)) is PLUS_INF
+            continue
+        u = [value, (value + cost) / 2, cost][k % 3]
+        _, _, values, provenance, branch = fraction_star_point(lp, u)
+        branches[branch] += 1
+        blp = build_blp(delta, instance)
+        calls.clear()
+        assert blp_value(blp) == value
+        star = select_star_point(blp, u)
+        assert star.values == values and star.provenance == provenance
+        assert len(calls) == (2 if branch == "face" else 1)
+    assert min(branches.values()) >= 30
 
 
 def test_select_star_point_requires_threshold():

@@ -8,6 +8,7 @@ from pvcsp.values import (
     MINUS_INF,
     PLUS_INF,
     format_value,
+    parse_rational,
     parse_value,
 )
 
@@ -42,6 +43,24 @@ def test_parse_print_basics():
         parse_value("1/0")
     with pytest.raises(ValueError):
         parse_value("-inf")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e400", "1.5", "1_0", "+1", "1/-2", "1 / 2", "0x10", "\u0661", "", "/2"]
+)
+def test_parse_rejects_other_rational_literals(text):
+    # only [-]digits[/digits]: an exponent would build a huge integer from
+    # a short text
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_value(text)
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_rational(text)
+
+
+def test_parse_rational_is_finite_only():
+    assert parse_rational("-0") == 0 and parse_rational("6/4") == Fraction(3, 2)
+    with pytest.raises(ValueError):
+        parse_rational("inf")
 
 
 @given(st.fractions())
