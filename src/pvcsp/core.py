@@ -16,14 +16,18 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     ArityMismatch,
     DomainMismatch,
+    ResourceGuard,
     UnassignedVariable,
     UnknownSymbol,
 )
-from .values import PLUS_INF, ExtRat, is_finite
+from .values import PLUS_INF, ExtRat
 
 YES = "yes"
 NO = "no"
 GAP = "gap"
+
+# the most steps an exhaustive enumeration may take
+DEFAULT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -99,18 +103,6 @@ class ValuedStructure:
 
     def table(self, symbol: str) -> Mapping[tuple[str, ...], ExtRat]:
         return self._tables[symbol]
-
-    def dom(self, symbol: str) -> list[tuple[str, ...]]:
-        """Tuples on which the symbol's cost is finite, in enumeration order."""
-        arity = self.signature.arity(symbol)
-        return [
-            t
-            for t in itertools.product(self.domain, repeat=arity)
-            if is_finite(self._tables[symbol][t])
-        ]
-
-    def tuples(self, symbol: str) -> Iterable[tuple[str, ...]]:
-        return itertools.product(self.domain, repeat=self.signature.arity(symbol))
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,17 +282,22 @@ def evaluate_cost(
 
 def brute_force_min(structure: ValuedStructure, instance: Instance) -> ExtRat:
     """Exhaustive minimum of evaluate_cost over all assignments: the
-    instance is checked once, then each assignment sums its term tables."""
+    instance is checked once, then each assignment sums its term tables.
+    ResourceGuard when |D|^n assignments times the terms exceed DEFAULT_CAP."""
     check_instance(structure, instance)
+    d, n, k = len(structure.domain), len(instance.variables), len(instance.terms)
+    # past the cap's bit length the power is over the cap, for |D| >= 2
+    if d ** min(n, DEFAULT_CAP.bit_length() + 1) * max(1, k) > DEFAULT_CAP:
+        raise ResourceGuard(
+            f"brute force: {d}^{n} assignments times {k} terms exceed cap {DEFAULT_CAP}"
+        )
     position = {v: i for i, v in enumerate(instance.variables)}
     terms = [
         (structure.table(t.symbol), [position[v] for v in t.args])
         for t in instance.terms
     ]
     best: ExtRat = PLUS_INF
-    for labels in itertools.product(
-        structure.domain, repeat=len(instance.variables)
-    ):
+    for labels in itertools.product(structure.domain, repeat=n):
         cost: ExtRat = Fraction(0)
         for table, at in terms:
             cost = cost + table[tuple(labels[i] for i in at)]

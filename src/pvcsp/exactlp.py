@@ -14,7 +14,7 @@ relative-interior machinery: a support profile (which coordinates can be
 positive over the feasible region or over its optimal face) and a
 relative interior point, the average, in ints, of the witnesses found by
 warm support rounds on the one tableau that phase 1 built, handed out as
-ints over one denominator or as Fractions.
+ints over one denominator only; `divided` makes Fractions of them.
 """
 
 from __future__ import annotations
@@ -339,19 +339,10 @@ class WarmLP:
             raise UnboundedObjective("objective unbounded below on the region")
         return res
 
-    def interior_point(self) -> tuple[list[Fraction], list[bool]]:
-        """A feasible point positive exactly on the support profile, and
-        the profile: flag_i is true iff x_i can be positive in the region."""
-        ints, den, flags = self.interior_ints()
-        return divided(ints, den), flags
-
-    def face_interior_point(self) -> tuple[list[Fraction], list[bool]]:
-        """interior_point of the optimal face."""
-        ints, den, flags = self.face_interior_ints()
-        return divided(ints, den), flags
-
     def interior_ints(self) -> tuple[list[int], int, list[bool]]:
-        """interior_point as ints over one denominator: (ints, den, flags)."""
+        """A feasible point positive exactly on the support profile, as ints
+        over one denominator, and the profile: (ints, den, flags), flag_i
+        true iff x_i can be positive in the region."""
         return self._rounds(range(self.lp.n))
 
     def face_interior_ints(self) -> tuple[list[int], int, list[bool]]:
@@ -418,8 +409,9 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 def relative_interior_point_with_flags(
     lp: LinearProgram,
 ) -> tuple[list[Fraction], list[bool]]:
-    """WarmLP.interior_point, from the vertex phase 1 found."""
-    return WarmLP(lp).interior_point()
+    """WarmLP.interior_ints as Fractions, from the vertex phase 1 found."""
+    ints, den, flags = WarmLP(lp).interior_ints()
+    return divided(ints, den), flags
 
 
 def restrict_to_optimal_face(lp: LinearProgram) -> LinearProgram:

@@ -2,16 +2,16 @@
 refinement, and the combined, BLP-only and AIP-only decision procedures
 (ENGINES, shared by the library and the CLI).
 
-Both programs share one column indexing (term tuples first, then variable
-marginals, each in deterministic order), so the star point computed on the
-LP side aligns coordinate-for-coordinate with the integer program.
-Tuples outside dom(f) are eliminated from the column set rather than
-constrained to zero, and the refinement eliminates further columns.  The
-BLP is built in one pass over each term's tuples, and the star point's
-optimal-face check shares the BLP's rows rather than copying them.  The
-BLP's phase 2 runs once, for its value and its star point; the star
-point's cost, its mix with the optimal vertex and its check are sums of
-ints over one denominator, and its Fractions are built once at the end.
+The AIP is the BLP's own system read over Z: one program type,
+Relaxation, holds its int rows and rhs, objective and column indexing
+(term tuples first, then variable marginals, each in deterministic order),
+so the star point aligns coordinate-for-coordinate with the integer
+program.  Tuples outside dom(f) are eliminated from the column set rather
+than constrained to zero, and the refinement eliminates further columns.
+The BLP is built in one pass over each term's tuples, and its phase 2 runs
+once, for its value and its star point.  The star point's cost and mix are
+sums of ints over one denominator.  Every star point is checked against
+the BLP's int rows and the cost window optimum <= cost <= u.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from typing import Callable, Optional
 from . import exactlp, lattice
 from .core import NO, YES, Instance, ValuedStructure, check_instance
 from .errors import IndexMisalignment, InvariantViolated, PreconditionViolated
-from .exactlp import LinearProgram, Rational
+from .exactlp import LinearProgram
 from .values import PLUS_INF, ExtVal, format_value, is_finite
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # column keys: ("lam", term index, tuple) and ("mu", variable, label)
 ColKey = tuple
@@ -46,9 +45,19 @@ class ProgramIndex:
 
 
 @dataclass
-class BlpProgram:
-    lp: LinearProgram
+class Relaxation:
+    """The BLP's constraint system (rows . x = rhs, x >= 0, min objective . x),
+    read over Q by the LP and over Z by the AIP.  Rows and rhs are ints."""
+
+    rows: list[list[int]]
+    rhs: list[int]
+    objective: list[Fraction]
     index: ProgramIndex
+
+    @functools.cached_property
+    def lp(self) -> LinearProgram:
+        """The system as an LP; its rows, rhs and objective are these, shared."""
+        return LinearProgram(len(self.objective), self.rows, self.rhs, self.objective)
 
     @functools.cached_property
     def warm(self) -> exactlp.WarmLP:
@@ -62,15 +71,7 @@ class BlpProgram:
         return self.warm.minimise()
 
 
-@dataclass
-class AipProgram:
-    rows: list[list[int]]
-    rhs: list[int]
-    objective: list[Fraction]
-    index: ProgramIndex
-
-
-def build_blp(delta: ValuedStructure, instance: Instance) -> BlpProgram:
+def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     """The basic LP relaxation; infeasibility encodes a +inf value.
 
     One pass over each term's tuples in product order: a finite-cost tuple
@@ -120,22 +121,16 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> BlpProgram:
             row[mu[x, a]] = 1
         rows.append(row)
         rhs.append(1)
-    lp = LinearProgram(n, rows, rhs, objective)
-    return BlpProgram(lp, ProgramIndex(columns, eliminated))
+    return Relaxation(rows, rhs, objective, ProgramIndex(columns, eliminated))
 
 
-def build_aip(delta: ValuedStructure, instance: Instance) -> AipProgram:
-    """The affine IP relaxation, sharing build_blp's column indexing."""
-    return _aip_of(build_blp(delta, instance))
+def build_aip(delta: ValuedStructure, instance: Instance) -> Relaxation:
+    """The affine IP relaxation: build_blp's system, read over Z.  No AIP
+    step mutates its rows, rhs or objective."""
+    return build_blp(delta, instance)
 
 
-def _aip_of(blp: BlpProgram) -> AipProgram:
-    """The AIP with the BLP's constraints, objective and columns, shared
-    and not copied: no AIP step mutates its rows, rhs or objective."""
-    return AipProgram(blp.lp.rows, blp.lp.rhs, blp.lp.objective, blp.index)
-
-
-def blp_value(blp: BlpProgram) -> ExtVal:
+def blp_value(blp: Relaxation) -> ExtVal:
     res = blp.phase2
     if res.status == exactlp.INFEASIBLE:
         return PLUS_INF
@@ -144,7 +139,7 @@ def blp_value(blp: BlpProgram) -> ExtVal:
     return res.value
 
 
-def aip_value(aip: AipProgram) -> ExtVal:
+def aip_value(aip: Relaxation) -> ExtVal:
     """min objective.x over the AIP's integer solutions, from one echelon
     elimination under the objective row: no unimodular transform is built."""
     return lattice.affine_min(aip.rows, aip.rhs, aip.objective)
@@ -160,45 +155,47 @@ class StarPoint:
     provenance: str
     index: ProgramIndex
 
-    def value_of(self, key: ColKey) -> Fraction:
-        return dict(zip(self.index.columns, self.values)).get(key, ZERO)
 
-
-def _int_row(row: list[Rational], b: Rational) -> tuple[list[tuple[int, int]], int]:
-    """row . x = b scaled to ints by the lcm of its denominators: the
-    nonzero (column, coefficient) pairs and the rhs."""
-    nonzero = list(filter(None, row))
-    s = math.lcm(b.denominator, *map(operator.attrgetter("denominator"), nonzero))
+def _int_objective(objective: list[Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """The objective over the lcm L of its denominators: the nonzero
+    (column, L times coefficient) pairs, and L."""
+    nonzero = list(filter(None, objective))
+    lcm = math.lcm(*map(operator.attrgetter("denominator"), nonzero))
     terms = [
-        (j, a.numerator * (s // a.denominator))
-        for j, a in zip(itertools.compress(range(len(row)), row), nonzero)
+        (j, c.numerator * (lcm // c.denominator))
+        for j, c in zip(itertools.compress(range(len(objective)), objective), nonzero)
     ]
-    return terms, b.numerator * (s // b.denominator)
+    return terms, lcm
 
 
 def _check_star_invariants(
-    blp: BlpProgram, ints: list[int], den: int, flags: list[bool], u: Fraction
+    blp: Relaxation, ints: list[int], den: int, flags: list[bool], u: Fraction
 ) -> None:
-    """Raise InvariantViolated unless the point ints / den is feasible,
-    costs at most u and is positive exactly where flagged.
+    """Raise InvariantViolated unless the point ints / den satisfies the
+    BLP's rows, is nonnegative, costs between the BLP's optimum and u, and
+    is positive exactly where flagged.
 
-    Exact, in ints: a scaled row holds at the point when its dot product
-    with the ints is den times its rhs.
+    Exact, in ints: an int row holds at the point when its dot product with
+    the ints is den times its rhs.
     """
-    for row, b in zip(blp.lp.rows, blp.lp.rhs):
-        terms, rhs = _int_row(row, b)
-        if sum(a * ints[j] for j, a in terms) != rhs * den:
+    for row, b in zip(blp.rows, blp.rhs):
+        if sum(map(operator.mul, row, ints)) != b * den:
             raise InvariantViolated("star point violates an equality")
     if any(x < 0 for x in ints):
         raise InvariantViolated("star point has a negative coordinate")
-    terms, bound = _int_row(blp.lp.objective, u)
-    if sum(c * ints[j] for j, c in terms) > bound * den:
+    # cost(point) = cost / scale
+    terms, lcm = _int_objective(blp.objective)
+    cost, scale = sum(c * ints[j] for j, c in terms), lcm * den
+    m = blp.phase2.value
+    if cost * m.denominator < m.numerator * scale:
+        raise InvariantViolated("star point costs less than the optimum")
+    if cost * u.denominator > u.numerator * scale:
         raise InvariantViolated("star point costs more than the threshold")
     if any((x > 0) != f for x, f in zip(ints, flags)):
         raise InvariantViolated("star point support differs from its flags")
 
 
-def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
+def select_star_point(blp: Relaxation, u: Fraction) -> StarPoint:
     """The star point of the refinement definition.
 
     A relative interior point of the feasibility polytope with cost <= u if
@@ -215,10 +212,9 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
         raise PreconditionViolated("select_star_point requires blp value <= u")
     warm = blp.warm
     p, pd, flags = warm.interior_ints()
-    checked, provenance = blp, FEASIBLE_INTERIOR
-    # the objective over the lcm L of its denominators (rhs 1 scales to L),
-    # so cost(p) = cost / scale
-    terms, lcm = _int_row(blp.lp.objective, ONE)
+    provenance = FEASIBLE_INTERIOR
+    # cost(p) = cost / scale
+    terms, lcm = _int_objective(blp.objective)
     cost = sum(c * p[j] for j, c in terms)
     scale = lcm * pd
     if cost * u.denominator <= u.numerator * scale:
@@ -241,18 +237,14 @@ def select_star_point(blp: BlpProgram, u: Fraction) -> StarPoint:
             ints[j] += b * v
         den = td * pd * vd
     else:
+        # u is the optimum here, so the check's cost window is the optimal face
         ints, den, flags = warm.face_interior_ints()
-        lp = blp.lp
-        # the optimal face: the BLP's own rows, shared, and objective = optimum
-        face = LinearProgram(
-            lp.n, lp.rows + [lp.objective], lp.rhs + [res.value], lp.objective
-        )
-        checked, provenance = BlpProgram(face, blp.index), OPTIMAL_FACE_INTERIOR
-    _check_star_invariants(checked, ints, den, flags, u)
+        provenance = OPTIMAL_FACE_INTERIOR
+    _check_star_invariants(blp, ints, den, flags, u)
     return StarPoint(exactlp.divided(ints, den), provenance, blp.index)
 
 
-def refine_aip(aip: AipProgram, star: StarPoint) -> AipProgram:
+def refine_aip(aip: Relaxation, star: StarPoint) -> Relaxation:
     """Eliminate every column whose star coordinate is zero."""
     if star.index.columns != aip.index.columns:
         raise IndexMisalignment("star point indexed against a different program")
@@ -263,7 +255,7 @@ def refine_aip(aip: AipProgram, star: StarPoint) -> AipProgram:
     )
     rows = [[row[i] for i in keep] for row in aip.rows]
     objective = [aip.objective[i] for i in keep]
-    return AipProgram(rows, list(aip.rhs), objective, index)
+    return Relaxation(rows, list(aip.rhs), objective, index)
 
 
 @dataclass
@@ -296,12 +288,12 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     """BLP gate, star point, refined AIP gate; YES only if both pass."""
     u = instance.threshold
     blp = build_blp(delta, instance)
-    size = (len(blp.index.columns), len(blp.lp.rows))
+    size = (len(blp.index.columns), len(blp.rows))
     value = blp_value(blp)
     if not value <= u:
         return SolveAnswer(NO, value, program_size=size)
     star = select_star_point(blp, u)
-    refined = refine_aip(_aip_of(blp), star)
+    refined = refine_aip(blp, star)
     aff = aip_value(refined)
     verdict = YES if aff <= u else NO
     return SolveAnswer(
@@ -320,7 +312,7 @@ def blp_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     value = blp_value(blp)
     verdict = YES if value <= instance.threshold else NO
     return SolveAnswer(
-        verdict, value, program_size=(len(blp.index.columns), len(blp.lp.rows))
+        verdict, value, program_size=(len(blp.index.columns), len(blp.rows))
     )
 
 

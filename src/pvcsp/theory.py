@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Union
 
 from . import exactlp
 from .core import (
+    DEFAULT_CAP,
     FiniteMeasure,
     OperationTable,
     PromiseTemplate,
@@ -37,8 +38,6 @@ from .core import (
 )
 from .errors import DomainMismatch, PreconditionViolated, ResourceGuard
 from .values import PLUS_INF, ExtRat
-
-DEFAULT_CAP = 10**7
 
 NONE_EXISTS = "none-exists"
 
@@ -250,6 +249,15 @@ def render_multiset_element(element: tuple[tuple[str, ...], ...]) -> str:
     return "|".join(",".join(ms) for ms in element)
 
 
+def _labels(elements: list[tuple[tuple[str, ...], ...]]) -> tuple[str, ...]:
+    """The rendered labels of the elements; DomainMismatch when two collide,
+    as domain labels holding ',' or '|' can make them."""
+    labels = tuple(map(render_multiset_element, elements))
+    if len(set(labels)) != len(labels):
+        raise DomainMismatch("multiset labels collide; relabel the domain")
+    return labels
+
+
 def _canonical(
     element: tuple[tuple[str, ...], ...], partition: BlockPartition
 ) -> tuple[str, ...]:
@@ -336,10 +344,7 @@ def block_multiset_structure(
     work = sum(_element_costs_size(delta, partition))
     if work > cap:
         raise ResourceGuard(f"multiset structure: {work} tuples over cap {cap}")
-    elements = block_multiset_domain(delta.domain, partition)
-    labels = [render_multiset_element(e) for e in elements]
-    if len(set(labels)) != len(labels):
-        raise DomainMismatch("multiset labels collide; relabel the domain")
+    labels = _labels(block_multiset_domain(delta.domain, partition))
     _, sums = _element_costs(delta, partition)
     tables = {}
     for symbol, arity in delta.signature.symbols:
@@ -366,7 +371,7 @@ def lift_fpol_to_frachom(
         if not check_block_symmetry(g, partition):
             raise PreconditionViolated("support table is not block-symmetric")
     elements = block_multiset_domain(delta.domain, partition)
-    labels = tuple(render_multiset_element(e) for e in elements)
+    labels = _labels(elements)
     pairs = []
     for g, w in omega.output:
         mapping = {
@@ -388,7 +393,7 @@ def fpol_from_frachom(
     base_domain = tuple(base_domain)
     m = partition.arity
     elements, element_of = _element_index(base_domain, partition)
-    labels = tuple(render_multiset_element(e) for e in elements)
+    labels = _labels(elements)
     pairs = []
     for h, w in chi:
         if h.in_domain != labels:

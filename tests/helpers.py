@@ -384,7 +384,8 @@ def table_reference_search(template, partition):
     ops = block_symmetric_tables(delta.domain, gamma.domain, partition)
     constraints = []
     for symbol, arity in delta.signature.symbols:
-        for tuples in itertools.product(delta.tuples(symbol), repeat=m):
+        symbol_tuples = itertools.product(delta.domain, repeat=arity)
+        for tuples in itertools.product(symbol_tuples, repeat=m):
             costs = [delta.cost(symbol, t) for t in tuples]
             if all(c is not PLUS_INF for c in costs):
                 rhs = sum(costs, Fraction(0)) / m
@@ -424,7 +425,8 @@ def reference_blp(delta, instance):
     dom = {
         (j, t)
         for j, term in enumerate(instance.terms)
-        for t in delta.dom(term.symbol)
+        for t, cost in delta.table(term.symbol).items()
+        if cost is not PLUS_INF
     }
 
     def keep(key):
@@ -487,7 +489,8 @@ def fraction_star_point(lp, u=None):
     u = value if u is None else u
     if not value <= u:
         return value, None, None, None, None
-    p, _ = warm.interior_point()
+    ints, den, _ = warm.interior_ints()
+    p = exactlp.divided(ints, den)
     cost = sum((c * x for c, x in zip(lp.objective, p)), ZERO)
     if cost <= u:
         return value, cost, p, "feasible-interior", "interior"
@@ -495,5 +498,6 @@ def fraction_star_point(lp, u=None):
         theta = ((cost - u) / (cost - value) + 1) / 2
         mixed = [(1 - theta) * a + theta * b for a, b in zip(p, res.point)]
         return value, cost, mixed, "feasible-interior", "mix"
-    q, _ = warm.face_interior_point()
+    ints, den, _ = warm.face_interior_ints()
+    q = exactlp.divided(ints, den)
     return value, cost, q, "optimal-face-interior", "face"

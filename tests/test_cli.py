@@ -312,6 +312,26 @@ def test_solve_oracle_json(tmp_path, capsys):
     assert capsys.readouterr().out == expected + "\n"
 
 
+def test_solve_oracle_over_cap_is_error(tmp_path, capsys):
+    # brute force on a 40-variable xor chain is refused with exit 2; the
+    # combined engine answers it
+    structure = tmp_path / "xor.pvcsp"
+    structure.write_text(formats.print_structure(generators.xor_structure()))
+    variables = [f"x{i}" for i in range(40)]
+    instance = tmp_path / "chain.pvcsp"
+    instance.write_text(
+        "vars " + " ".join(variables) + "\n"
+        + "".join(f"term xor1 {x} {y}\n" for x, y in zip(variables, variables[1:]))
+        + "threshold 0\n"
+    )
+    argv = ["solve", "--structure", str(structure), "--instance", str(instance)]
+    assert main(argv + ["--algorithm", "oracle"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: brute force: 2^40 assignments")
+    assert captured.out == ""
+    assert main(argv) == EXIT_YES
+
+
 @pytest.mark.parametrize("engine", sorted(relax.ENGINES))
 def test_gamma_only_with_oracle(files, tmp_path, capsys, engine):
     # every engine but the oracle would ignore --gamma; it is an error

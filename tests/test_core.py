@@ -23,7 +23,12 @@ from pvcsp.core import (
     evaluate_cost,
     pvcsp_oracle,
 )
-from pvcsp.errors import ArityMismatch, UnassignedVariable, UnknownSymbol
+from pvcsp.errors import (
+    ArityMismatch,
+    ResourceGuard,
+    UnassignedVariable,
+    UnknownSymbol,
+)
 from pvcsp.values import PLUS_INF, is_finite
 
 D01 = ("0", "1")
@@ -97,6 +102,19 @@ def test_brute_force_unary_min():
     )
     inst = Instance(("x",), (Term("f", ("x",)),), Fraction(0))
     assert brute_force_min(s, inst) == Fraction(1, 3)
+
+
+def test_brute_force_refuses_over_cap():
+    # a 40-variable xor chain: 2^40 assignments times 39 terms; the guard
+    # fires before any assignment is listed
+    xor = generators.xor_structure()
+    variables = tuple(f"x{i}" for i in range(40))
+    terms = tuple(Term("xor1", pair) for pair in zip(variables, variables[1:]))
+    inst = Instance(variables, terms, Fraction(0))
+    with pytest.raises(ResourceGuard, match="2\\^40 assignments times 39 terms"):
+        brute_force_min(xor, inst)
+    with pytest.raises(ResourceGuard):
+        pvcsp_oracle(PromiseTemplate(xor, xor), inst)
 
 
 def test_brute_force_is_exhaustive_lower_bound():
@@ -176,7 +194,10 @@ def test_infinity_iff_outside_dom():
     for _ in range(20):
         s = generators.random_structure(rng, domain_size=2)
         inst = generators.random_instance(rng, s, 3, 3, Fraction(0))
-        doms = {name: set(s.dom(name)) for name in s.signature.names()}
+        doms = {
+            name: {t for t, c in s.table(name).items() if is_finite(c)}
+            for name in s.signature.names()
+        }
         for labels in itertools.product(s.domain, repeat=len(inst.variables)):
             assignment = dict(zip(inst.variables, labels))
             cost = evaluate_cost(s, inst, assignment)

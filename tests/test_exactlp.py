@@ -161,6 +161,10 @@ def assert_interior(prog, point, flags):
     assert [x > 0 for x in point] == flags and all(x >= 0 for x in point)
 
 
+def fractions(ints, den, flags):
+    return exactlp.divided(ints, den), flags
+
+
 def assert_warm_matches_vertices(prog, vertices):
     """The optimum, the region's support and the optimal face's support of
     a bounded, nonempty region, against its enumerated vertices."""
@@ -169,16 +173,16 @@ def assert_warm_matches_vertices(prog, vertices):
     cost = [sum((c * x for c, x in zip(prog.objective, v)), Z) for v in vertices]
     assert res.status == OPTIMAL and res.value == min(cost)
     assert res.point in vertices
-    point, flags = warm.interior_point()
+    point, flags = fractions(*warm.interior_ints())
     assert flags == support_union(vertices, prog.n)
     assert_interior(prog, point, flags)
     best = [v for v, c in zip(vertices, cost) if c == min(cost)]
-    face_point, face_flags = warm.face_interior_point()
+    face_point, face_flags = fractions(*warm.face_interior_ints())
     assert face_flags == support_union(best, prog.n)
     assert_interior(prog, face_point, face_flags)
     assert sum((c * x for c, x in zip(prog.objective, face_point)), Z) == res.value
     # the face straight after phase 1, without the earlier rounds
-    assert WarmLP(prog).face_interior_point()[1] == face_flags
+    assert WarmLP(prog).face_interior_ints()[2] == face_flags
 
 
 def test_warm_rounds_match_vertex_enumeration():
@@ -200,7 +204,7 @@ def test_warm_rounds_match_vertex_enumeration():
 def test_warm_rounds_unbounded_region():
     # x1 - x2 = 1 with x3 pinned to 0: x1 and x2 grow along a ray
     warm = WarmLP(lp(3, [[1, -1, 0], [0, 0, 1]], [1, 0], [0, 0, 0]))
-    point, flags = warm.interior_point()
+    point, flags = fractions(*warm.interior_ints())
     assert flags == [True, True, False]
     assert point[0] - point[1] == 1 and point[2] == 0
 
@@ -208,23 +212,23 @@ def test_warm_rounds_unbounded_region():
 def test_warm_face_of_unbounded_region():
     # x1 - x2 = 0 minimising x3: the face is the ray x1 = x2, x3 = 0
     prog = lp(3, [[1, -1, 0]], [0], [0, 0, 1])
-    point, flags = WarmLP(prog).face_interior_point()
+    point, flags = fractions(*WarmLP(prog).face_interior_ints())
     assert flags == [True, True, False]
     assert point[0] == point[1] > 0
 
 
 def test_warm_face_unbounded_objective():
     with pytest.raises(UnboundedObjective):
-        WarmLP(lp(2, [[1, -1]], [0], [-1, 0])).face_interior_point()
+        WarmLP(lp(2, [[1, -1]], [0], [-1, 0])).face_interior_ints()
 
 
 def test_warm_rounds_empty_region():
     warm = WarmLP(lp(1, [[1], [1]], [1, 2], [0]))
     assert warm.minimise().status == INFEASIBLE
     with pytest.raises(InfeasibleRegion):
-        warm.interior_point()
+        warm.interior_ints()
     with pytest.raises(InfeasibleRegion):
-        warm.face_interior_point()
+        warm.face_interior_ints()
 
 
 def random_lp(rng, n_max=6, m_max=4):
@@ -478,8 +482,8 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
         warm = WarmLP(prog)
         if warm.minimise().status == OPTIMAL:
             solved += 1
-            warm.interior_point()
-            warm.face_interior_point()
+            warm.interior_ints()
+            warm.face_interior_ints()
     assert solved >= 100
     assert rows_by_path["sparse"] > 1000 and rows_by_path["dense"] > 1000
 
@@ -512,7 +516,7 @@ def test_int_rows_are_read_as_ints():
         negative += any(b < 0 for b in rhs)
         assert_warm_matches_vertices(prog, vertices)
         warm = WarmLP(prog)
-        warm.face_interior_point()
+        warm.face_interior_ints()
         assert all(type(a) is int for ints in warm.tab.scaled + warm.tab.rows for a in ints)
     assert checked >= 25 and negative >= 10
 

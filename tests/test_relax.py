@@ -202,15 +202,20 @@ def test_aip_value_empty_domain_symbol_infeasible():
     assert aip_value(build_aip(empty, ins)) is PLUS_INF
 
 
+def value_of(star, key):
+    """The star point's value at a column key; 0 at an eliminated column."""
+    return dict(zip(star.index.columns, star.values)).get(key, 0)
+
+
 def test_select_star_point_interior_case():
     ins = inst(["x", "y"], [("xor1", ["x", "y"])], 0)
     blp = build_blp(XOR, ins)
     star = select_star_point(blp, F(0))
     assert star.provenance == FEASIBLE_INTERIOR
     # the parity polytope's interior mixes both satisfying tuples
-    assert star.value_of(("lam", 0, ("0", "1"))) > 0
-    assert star.value_of(("lam", 0, ("1", "0"))) > 0
-    assert star.value_of(("lam", 0, ("0", "0"))) == 0
+    assert value_of(star, ("lam", 0, ("0", "1"))) > 0
+    assert value_of(star, ("lam", 0, ("1", "0"))) > 0
+    assert value_of(star, ("lam", 0, ("0", "0"))) == 0
 
 
 def star_cost(blp, star):
@@ -237,8 +242,8 @@ def test_select_star_point_optimal_face_case():
     star = select_star_point(blp, F(0))
     assert star.provenance == OPTIMAL_FACE_INTERIOR
     assert star_cost(blp, star) == 0
-    assert star.value_of(("mu", "x", "1")) == 0
-    assert star.value_of(("mu", "x", "0")) == 1
+    assert value_of(star, ("mu", "x", "1")) == 0
+    assert value_of(star, ("mu", "x", "0")) == 1
 
 
 def test_select_star_point_single_point_polytope():
@@ -258,8 +263,8 @@ def test_select_star_point_interior_meets_loose_threshold():
     blp = build_blp(WEIGHTED, ins)
     star = select_star_point(blp, F(1, 2))
     assert star.provenance == FEASIBLE_INTERIOR
-    assert star.value_of(("lam", 0, ("0",))) > 0
-    assert star.value_of(("lam", 0, ("1",))) > 0
+    assert value_of(star, ("lam", 0, ("0",))) > 0
+    assert value_of(star, ("lam", 0, ("1",))) > 0
     assert star_cost(blp, star) <= F(1, 2)
 
 
@@ -297,13 +302,56 @@ try:
 except InvariantViolated as exc:
     print("caught:", exc)
 """
+    assert run_optimised(script) == ["caught: star point violates an equality"] * 2
+
+
+def run_optimised(script):
+    """The stdout lines of script run under python -O."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=120, check=True,
-    ).stdout
-    assert out.splitlines() == ["caught: star point violates an equality"] * 2
+    ).stdout.splitlines()
+
+
+def test_star_cost_window_survives_optimise_flag():
+    # every star point costs between the BLP's optimum and the threshold;
+    # under python -O both ends of that window are still checked
+    script = """
+from fractions import Fraction as F
+from pvcsp import relax
+from pvcsp.core import Instance, Signature, Term, ValuedStructure
+from pvcsp.errors import InvariantViolated
+if __debug__:
+    raise SystemExit("asserts are still on")
+weighted = ValuedStructure(
+    Signature((("w", 1),)), ("0", "1"), {"w": {("0",): F(0), ("1",): F(1)}}
+)
+ins = Instance(("x",), (Term("w", ("x",)),), F(1))
+# the interior point costs 1/2; the optimum 0, raised to 1, is above it
+blp = relax.build_blp(weighted, ins)
+blp.phase2.value += 1
+ints, den, flags = blp.warm.interior_ints()
+try:
+    relax._check_star_invariants(blp, ints, den, flags, F(1))
+except InvariantViolated as exc:
+    print("caught:", exc)
+# at u = the optimum 0 the star point is the optimal face's; the region's
+# interior point costs more
+blp = relax.build_blp(weighted, ins)
+print(relax.select_star_point(blp, F(0)).provenance)
+ints, den, flags = blp.warm.interior_ints()
+try:
+    relax._check_star_invariants(blp, ints, den, flags, blp.phase2.value)
+except InvariantViolated as exc:
+    print("caught:", exc)
+"""
+    assert run_optimised(script) == [
+        "caught: star point costs less than the optimum",
+        relax.OPTIMAL_FACE_INTERIOR,
+        "caught: star point costs more than the threshold",
+    ]
 
 
 def mixed_denominator_structure(rng):
@@ -374,8 +422,8 @@ def test_refine_aip_drops_zero_columns():
 
 
 def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
-    # the AIP holds the BLP's own rows and rhs, and the optimal-face check
-    # appends the objective to them in a new list; nothing may mutate them
+    # the AIP is the BLP's own system, and its LP shares the rows and rhs;
+    # nothing may mutate them
     cases = [
         (
             XOR,
@@ -393,7 +441,7 @@ def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
         rows = [row[:] for row in blp.lp.rows]
         rhs = list(blp.lp.rhs)
         objective = list(blp.lp.objective)
-        aip = relax._aip_of(blp)
+        aip = blp
         assert aip.rows is blp.lp.rows and aip.rhs is blp.lp.rhs
         aip_value(aip)
         aip_value(refine_aip(aip, select_star_point(blp, F(0))))

@@ -353,6 +353,27 @@ def test_lift_roundtrip_recovers_fpol():
     assert back == omega
 
 
+def test_colliding_multiset_labels_are_refused():
+    # the elements ('a,b', 'a') and ('a', 'b,a') both render as 'a,b,a'
+    domain = ("a,b", "a", "b,a")
+    delta = ValuedStructure(
+        Signature((("w", 1),)), domain, {"w": {(a,): F(0) for a in domain}}
+    )
+    partition = BlockPartition.from_sizes([2])
+    const = OperationTable.from_callable(domain, domain, 2, lambda x, y: "a")
+    omega = PromiseFpol.uniform_input(FiniteMeasure.point_mass(const))
+    chi = FiniteMeasure.point_mass(
+        OperationTable.from_callable(domain, domain, 1, lambda x: x)
+    )
+    for build in (
+        lambda: block_multiset_structure(delta, partition),
+        lambda: lift_fpol_to_frachom(omega, partition, PromiseTemplate(delta, delta)),
+        lambda: fpol_from_frachom(chi, partition, domain),
+    ):
+        with pytest.raises(DomainMismatch, match="multiset labels collide"):
+            build()
+
+
 def test_fpol_from_frachom_checks_domain():
     chi = FiniteMeasure.point_mass(IDENTITY)
     with pytest.raises(DomainMismatch):
@@ -433,8 +454,11 @@ def test_find_frachom_verdicts_are_sound():
     for _ in range(15):
         delta = generators.random_structure(rng)
         tables = {
-            name: {t: rng.choice(pool) for t in delta.tuples(name)}
-            for name, _ in delta.signature.symbols
+            name: {
+                t: rng.choice(pool)
+                for t in itertools.product(delta.domain, repeat=arity)
+            }
+            for name, arity in delta.signature.symbols
         }
         gamma = ValuedStructure(delta.signature, delta.domain, tables)
         chi = find_frachom_lp(delta, gamma)
@@ -516,8 +540,11 @@ def test_witness_search_invariant_under_cost_shift():
             gamma = generators.weaken_structure(rng, delta)
         else:
             tables = {
-                name: {t: rng.choice(pool) for t in delta.tuples(name)}
-                for name in delta.signature.names()
+                name: {
+                    t: rng.choice(pool)
+                    for t in itertools.product(delta.domain, repeat=arity)
+                }
+                for name, arity in delta.signature.symbols
             }
             gamma = ValuedStructure(delta.signature, delta.domain, tables)
         symbol = rng.choice(delta.signature.names())
@@ -546,8 +573,8 @@ def reference_template(rng, domain_size, allow_inf, n_symbols=2):
         return PromiseTemplate(delta, generators.weaken_structure(rng, delta))
     pool = [F(0), F(1, 2), F(1), F(2), PLUS_INF]
     tables = {
-        name: {t: rng.choice(pool) for t in delta.tuples(name)}
-        for name in delta.signature.names()
+        name: {t: rng.choice(pool) for t in itertools.product(delta.domain, repeat=arity)}
+        for name, arity in delta.signature.symbols
     }
     return PromiseTemplate(
         delta, ValuedStructure(delta.signature, delta.domain, tables)
