@@ -7,9 +7,12 @@ tableau is integer-preserving (Python ints over one denominator per row,
 fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
 so pricing is a scan of that row.  A pivot costs what the pivot row's
 nonzeros cost on a row already over the pivot's denominator (most rows of
-a 0/±1 program), and every basic solution handed out is checked against
-the scaled input rows through their column index; the optimum's value is
-summed from those checked ints and divided once.  Also provides the
+a 0/±1 program).  The tableau hands out a basic solution in one form,
+`_Tableau.witness`: the nonzero coordinates of the basic solution, or of
+the end of an improving ray from it, as ints over the tableau's
+denominator, checked against the scaled input rows through their column
+index.  Phase 2's point and ray are read off it, and the optimum's value
+is summed from those checked ints and divided once.  Also provides the
 relative-interior machinery: a support profile (which coordinates can be
 positive over the feasible region or over its optimal face) and a
 relative interior point, the average, in ints, of the witnesses found by
@@ -34,7 +37,6 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 Rational = Union[int, Fraction]
@@ -220,20 +222,6 @@ class _Tableau:
                 return enter
             self.pivot(leave, enter)
 
-    def solution(self) -> list[Fraction]:
-        x = [ZERO] * self.n
-        for b, v in self._check_rows(-1):
-            x[b] = Fraction(v, self.d)
-        return x
-
-    def ray(self, enter: int) -> list[Fraction]:
-        ray = [ZERO] * self.n
-        if enter < self.n:
-            ray[enter] = ONE
-        for b, v in self._check_rows(enter):
-            ray[b] = -Fraction(v, self.d)
-        return ray
-
     def witness(self, enter: Optional[int]) -> dict[int, int]:
         """The basic solution, plus the ray of structural column `enter`
         if given, as its nonzero coordinates over d."""
@@ -307,20 +295,20 @@ class WarmLP:
     def minimise(self) -> LPResult:
         """Phase 2; Optimal returns a minimising basic solution.
 
-        The value is summed in ints, the checked basic entries over d times
-        the basic objective entries over the lcm L of their denominators,
-        and divided by L * d once."""
+        The point, and when unbounded the ray, are the tableau's witnesses
+        divided by d.  The value is summed in ints, the checked basic
+        entries over d times the basic objective entries over the lcm L of
+        their denominators, and divided by L * d once."""
         if self.tab is None:
             return LPResult(INFEASIBLE)
-        tab = self.tab
-        objective = self.lp.objective
-        enter = tab.run(objective, range(self.lp.n))
-        if enter is not None:
-            return LPResult(UNBOUNDED, point=tab.solution(), ray=tab.ray(enter))
+        tab, n, objective = self.tab, self.lp.n, self.lp.objective
+        enter = tab.run(objective, range(n))
         d, basic = tab.d, tab.witness(None)
-        point = [ZERO] * self.lp.n
-        for b, v in basic.items():
-            point[b] = Fraction(v, d)
+        point = divided([basic.get(j, 0) for j in range(n)], d)
+        if enter is not None:
+            end = tab.witness(enter)  # the ray's end from the point, over d
+            ray = divided([end.get(j, 0) - basic.get(j, 0) for j in range(n)], d)
+            return LPResult(UNBOUNDED, point=point, ray=ray)
         costs = [objective[b] for b in basic]
         lcm = math.lcm(*(c.denominator for c in costs))
         total = sum(

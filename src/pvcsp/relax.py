@@ -3,15 +3,18 @@ refinement, and the combined, BLP-only and AIP-only decision procedures
 (ENGINES, shared by the library and the CLI).
 
 The AIP is the BLP's own system read over Z: one program type,
-Relaxation, holds its int rows and rhs, objective and column indexing
-(term tuples first, then variable marginals, each in deterministic order),
-so the star point aligns coordinate-for-coordinate with the integer
-program.  Tuples outside dom(f) are eliminated from the column set rather
-than constrained to zero, and the refinement eliminates further columns.
+Relaxation, is the exactlp.LinearProgram of that system (int rows and rhs)
+with its column keys (term tuples first, then variable marginals, each in
+deterministic order) and eliminated keys, so the star point aligns
+coordinate-for-coordinate with the integer program.  Tuples outside dom(f)
+are eliminated from the column set rather than constrained to zero, and
+the refinement eliminates further columns.
 The BLP is built in one pass over each term's tuples, and its phase 2 runs
-once, for its value and its star point.  The star point's cost and mix are
-sums of ints over one denominator.  Every star point is checked against
-the BLP's int rows and the cost window optimum <= cost <= u.
+once, for its value and its star point.  The objective is scaled to ints
+once per program, and one helper compares a point's cost with a value:
+the star point's cost and mix are sums of ints over one denominator.
+Every star point is checked against the BLP's int rows and the cost
+window optimum <= cost <= u.
 """
 
 from __future__ import annotations
@@ -37,38 +40,35 @@ ColKey = tuple
 
 
 @dataclass
-class ProgramIndex:
-    """Shared column map for the BLP and AIP of one instance."""
+class Relaxation(LinearProgram):
+    """The BLP's constraint system (rows . x = rhs, x >= 0, min objective . x),
+    an LP over Q and read over Z by the AIP.  Rows and rhs are ints;
+    `columns` keys the n columns and `eliminated` the columns left out.
+    The cached phase 1, phase 2 and int objective live and die with it."""
 
     columns: list[ColKey]
     eliminated: list[ColKey]
 
-
-@dataclass
-class Relaxation:
-    """The BLP's constraint system (rows . x = rhs, x >= 0, min objective . x),
-    read over Q by the LP and over Z by the AIP.  Rows and rhs are ints."""
-
-    rows: list[list[int]]
-    rhs: list[int]
-    objective: list[Fraction]
-    index: ProgramIndex
-
-    @functools.cached_property
-    def lp(self) -> LinearProgram:
-        """The system as an LP; its rows, rhs and objective are these, shared."""
-        return LinearProgram(len(self.objective), self.rows, self.rhs, self.objective)
-
     @functools.cached_property
     def warm(self) -> exactlp.WarmLP:
         """The one phase 1 that blp_value and select_star_point share."""
-        return exactlp.WarmLP(self.lp)
+        return exactlp.WarmLP(self)
 
     @functools.cached_property
     def phase2(self) -> exactlp.LPResult:
         """The one phase 2 on warm, read by blp_value and select_star_point;
         the support rounds start from the basis it leaves."""
         return self.warm.minimise()
+
+    @functools.cached_property
+    def int_objective(self) -> tuple[list[tuple[int, int]], int]:
+        """The objective over the lcm L of its denominators: the nonzero
+        (column, L times coefficient) pairs, and L."""
+        nonzero = list(filter(None, self.objective))
+        lcm = math.lcm(*map(operator.attrgetter("denominator"), nonzero))
+        columns = itertools.compress(range(self.n), self.objective)
+        terms = [(j, c.numerator * (lcm // c.denominator)) for j, c in zip(columns, nonzero)]
+        return terms, lcm
 
 
 def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
@@ -121,7 +121,7 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
             row[mu[x, a]] = 1
         rows.append(row)
         rhs.append(1)
-    return Relaxation(rows, rhs, objective, ProgramIndex(columns, eliminated))
+    return Relaxation(n, rows, rhs, objective, columns, eliminated)
 
 
 def build_aip(delta: ValuedStructure, instance: Instance) -> Relaxation:
@@ -153,19 +153,15 @@ OPTIMAL_FACE_INTERIOR = "optimal-face-interior"
 class StarPoint:
     values: list[Fraction]
     provenance: str
-    index: ProgramIndex
+    columns: list[ColKey]
 
 
-def _int_objective(objective: list[Fraction]) -> tuple[list[tuple[int, int]], int]:
-    """The objective over the lcm L of its denominators: the nonzero
-    (column, L times coefficient) pairs, and L."""
-    nonzero = list(filter(None, objective))
-    lcm = math.lcm(*map(operator.attrgetter("denominator"), nonzero))
-    terms = [
-        (j, c.numerator * (lcm // c.denominator))
-        for j, c in zip(itertools.compress(range(len(objective)), objective), nonzero)
-    ]
-    return terms, lcm
+def _excess(blp: Relaxation, ints: list[int], den: int, v: Fraction) -> int:
+    """An int with the sign of cost(ints / den) - v: the cost is an int
+    over L * den, L the objective's lcm."""
+    terms, lcm = blp.int_objective
+    cost = sum(c * ints[j] for j, c in terms)
+    return cost * v.denominator - v.numerator * lcm * den
 
 
 def _check_star_invariants(
@@ -183,13 +179,9 @@ def _check_star_invariants(
             raise InvariantViolated("star point violates an equality")
     if any(x < 0 for x in ints):
         raise InvariantViolated("star point has a negative coordinate")
-    # cost(point) = cost / scale
-    terms, lcm = _int_objective(blp.objective)
-    cost, scale = sum(c * ints[j] for j, c in terms), lcm * den
-    m = blp.phase2.value
-    if cost * m.denominator < m.numerator * scale:
+    if _excess(blp, ints, den, blp.phase2.value) < 0:
         raise InvariantViolated("star point costs less than the optimum")
-    if cost * u.denominator > u.numerator * scale:
+    if _excess(blp, ints, den, u) > 0:
         raise InvariantViolated("star point costs more than the threshold")
     if any((x > 0) != f for x, f in zip(ints, flags)):
         raise InvariantViolated("star point support differs from its flags")
@@ -213,11 +205,8 @@ def select_star_point(blp: Relaxation, u: Fraction) -> StarPoint:
     warm = blp.warm
     p, pd, flags = warm.interior_ints()
     provenance = FEASIBLE_INTERIOR
-    # cost(p) = cost / scale
-    terms, lcm = _int_objective(blp.objective)
-    cost = sum(c * p[j] for j, c in terms)
-    scale = lcm * pd
-    if cost * u.denominator <= u.numerator * scale:
+    over = _excess(blp, p, pd, u)
+    if over <= 0:
         ints, den = p, pd
     elif res.value < u:
         # cost(p) > u > m: mix towards the optimal vertex just past the
@@ -226,8 +215,8 @@ def select_star_point(blp: Relaxation, u: Fraction) -> StarPoint:
         # combination with an interior point stays in the relative interior;
         # theta* is over_u / over_m, both over one positive denominator
         m = res.value
-        over_u = (cost * u.denominator - u.numerator * scale) * m.denominator
-        over_m = (cost * m.denominator - m.numerator * scale) * u.denominator
+        over_u = over * m.denominator
+        over_m = _excess(blp, p, pd, m) * u.denominator
         g = math.gcd(over_u + over_m, 2 * over_m)
         t, td = (over_u + over_m) // g, 2 * over_m // g
         vd, vertex = res.witness
@@ -241,21 +230,23 @@ def select_star_point(blp: Relaxation, u: Fraction) -> StarPoint:
         ints, den, flags = warm.face_interior_ints()
         provenance = OPTIMAL_FACE_INTERIOR
     _check_star_invariants(blp, ints, den, flags, u)
-    return StarPoint(exactlp.divided(ints, den), provenance, blp.index)
+    return StarPoint(exactlp.divided(ints, den), provenance, blp.columns)
 
 
 def refine_aip(aip: Relaxation, star: StarPoint) -> Relaxation:
     """Eliminate every column whose star coordinate is zero."""
-    if star.index.columns != aip.index.columns:
+    if star.columns != aip.columns:
         raise IndexMisalignment("star point indexed against a different program")
     keep = [i for i, v in enumerate(star.values) if v > 0]
-    dropped = [aip.index.columns[i] for i, v in enumerate(star.values) if v == 0]
-    index = ProgramIndex(
-        [aip.index.columns[i] for i in keep], aip.index.eliminated + dropped
+    dropped = [aip.columns[i] for i, v in enumerate(star.values) if v == 0]
+    return Relaxation(
+        len(keep),
+        [[row[i] for i in keep] for row in aip.rows],
+        list(aip.rhs),
+        [aip.objective[i] for i in keep],
+        [aip.columns[i] for i in keep],
+        aip.eliminated + dropped,
     )
-    rows = [[row[i] for i in keep] for row in aip.rows]
-    objective = [aip.objective[i] for i in keep]
-    return Relaxation(rows, list(aip.rhs), objective, index)
 
 
 @dataclass
@@ -288,11 +279,14 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     """BLP gate, star point, refined AIP gate; YES only if both pass."""
     u = instance.threshold
     blp = build_blp(delta, instance)
-    size = (len(blp.index.columns), len(blp.rows))
+    size = (blp.n, len(blp.rows))
     value = blp_value(blp)
-    if not value <= u:
+    star = select_star_point(blp, u) if value <= u else None
+    # blp.warm.lp is blp: dropping warm frees the tableau now, not
+    # whenever the cycle collector next runs
+    del blp.warm
+    if star is None:
         return SolveAnswer(NO, value, program_size=size)
-    star = select_star_point(blp, u)
     refined = refine_aip(blp, star)
     aff = aip_value(refined)
     verdict = YES if aff <= u else NO
@@ -301,7 +295,7 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
         value,
         star_provenance=star.provenance,
         aff_value=aff,
-        eliminated=refined.index.eliminated,
+        eliminated=refined.eliminated,
         program_size=size,
     )
 
@@ -310,10 +304,9 @@ def blp_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     """The BLP-only decision procedure: YES iff blp value <= u."""
     blp = build_blp(delta, instance)
     value = blp_value(blp)
+    del blp.warm  # as in combined_solve
     verdict = YES if value <= instance.threshold else NO
-    return SolveAnswer(
-        verdict, value, program_size=(len(blp.index.columns), len(blp.rows))
-    )
+    return SolveAnswer(verdict, value, program_size=(blp.n, len(blp.rows)))
 
 
 def aip_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
@@ -324,7 +317,8 @@ def aip_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
         YES if value <= instance.threshold else NO,
         None,
         aff_value=value,
-        program_size=(len(aip.objective), len(aip.rows)),
+        eliminated=aip.eliminated,
+        program_size=(aip.n, len(aip.rows)),
     )
 
 

@@ -95,6 +95,14 @@ def test_solve_aip_reports_aff_value(files, capsys):
     assert "blp value" not in text
 
 
+def test_solve_aip_reports_eliminated_columns(files, capsys):
+    # neq's two +inf tuples are left out by the AIP engine as by combined
+    _, s, sat, _ = files
+    for algorithm in ("aip", "combined"):
+        main(["solve", "--structure", s, "--instance", sat, "--algorithm", algorithm])
+        assert "eliminated columns: 2" in capsys.readouterr().out.splitlines()
+
+
 def test_solve_missing_file_is_error(files, capsys):
     _, s, _, _ = files
     assert main(["solve", "--structure", s, "--instance", "/nope"]) == EXIT_ERROR

@@ -5,19 +5,30 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import random
+import types
+from fractions import Fraction as F
 
 import pytest
+from helpers import fraction_star_point
+
+from pvcsp import formats, generators, relax
+from pvcsp.core import Instance, PromiseTemplate, Signature, Term, ValuedStructure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _traced():
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return tracing
+
+
+def _traced():
+    return _tracing().TRACED
 
 
 @pytest.mark.parametrize("module, name", _traced())
@@ -52,6 +63,60 @@ def test_traced_observers_read_real_parameters():
         if key not in inspect.signature(fn).parameters:
             missing.append(f"pvcsp.{module}.{name} has no parameter {key!r}")
     assert missing == []
+
+
+def test_tracer_observers_run_on_traced_calls(tmp_path, capsys):
+    # the observers read results (res.point, res.ray, .objective) as well as
+    # arguments; run every traced path once under the tracer: the outputs
+    # must equal the untraced ones, and layer_metrics must read the spans
+    tracing = _tracing()
+    pv = types.SimpleNamespace(
+        **{m: importlib.import_module(f"pvcsp.{m}") for m, _ in tracing.TRACED}
+    )
+    xor = generators.xor_structure()
+    weighted = ValuedStructure(
+        Signature((("w", 1),)), ("0", "1"), {"w": {("0",): F(0), ("1",): F(1)}}
+    )
+    xor1 = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
+    solves = [
+        (xor, xor1, "interior"),
+        (weighted, Instance(("x",), (Term("w", ("x",)),), F(1, 4)), "mix"),
+        (weighted, Instance(("x",), (Term("w", ("x",)),), F(0)), "face"),
+    ]
+    for delta, instance, branch in solves:
+        reference = fraction_star_point(relax.build_blp(delta, instance), instance.threshold)
+        assert reference[-1] == branch
+    rng = random.Random(5)
+    delta = generators.random_structure(rng)
+    template = PromiseTemplate(delta, generators.weaken_structure(rng, delta))
+    structure, instance = tmp_path / "xor.pvcsp", tmp_path / "xor1.pvcsp"
+    structure.write_text(formats.print_structure(xor))
+    instance.write_text(formats.print_instance(xor1))
+    argv = ["solve", "--structure", str(structure), "--instance", str(instance)]
+
+    def ops():
+        out = [pv.relax.combined_solve(delta, instance) for delta, instance, _ in solves]
+        partition = pv.theory.BlockPartition.from_sizes((2,))
+        out.append(pv.theory.find_promise_fpol_lp(template, 2, partition=partition))
+        out.append(pv.theory.find_frachom_lp(template.delta, template.gamma))
+        out.append(pv.cli.main(argv + ["--algorithm", "aip", "--json"]))
+        out.append(capsys.readouterr().out)
+        return out
+
+    def functions():
+        return [getattr(getattr(pv, m), name) for m, name in tracing.TRACED]
+
+    untraced, plain = ops(), functions()
+    tracer = tracing.Tracer(pv)
+    tracer.instrument()
+    try:
+        traced = ops()
+    finally:
+        tracer.restore()
+    assert traced == untraced and functions() == plain
+    metrics = tracing.layer_metrics(tracer.spans, 1, pv.relax)
+    assert metrics["relax.face_share"] * 3 == 1 and metrics["relax.kept_col_ratio"] > 0
+    assert metrics["exactlp.solve_lp_calls"] == 2 and metrics["cli.self_s"] > 0
 
 
 def test_no_assert_statements_in_package():

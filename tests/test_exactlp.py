@@ -244,6 +244,7 @@ def random_lp(rng, n_max=6, m_max=4):
 
 def test_against_vertex_enumeration():
     rng = random.Random(42)
+    unbounded = 0
     for _ in range(60):
         prog = random_lp(rng)
         res = solve_lp(prog)
@@ -255,6 +256,17 @@ def test_against_vertex_enumeration():
                 assert sum((a * x for a, x in zip(row, res.point)), Z) == b
         elif res.status == INFEASIBLE:
             assert enumerate_vertices(prog) == []
+        else:
+            # a feasible point, and a ray that keeps A x = b and x >= 0
+            # while the objective falls along it
+            unbounded += 1
+            assert res.status == UNBOUNDED
+            assert all(x >= 0 for x in res.point) and all(r >= 0 for r in res.ray)
+            for row, b in zip(prog.rows, prog.rhs):
+                assert sum((a * x for a, x in zip(row, res.point)), Z) == b
+                assert sum((a * r for a, r in zip(row, res.ray)), Z) == 0
+            assert sum((c * r for c, r in zip(prog.objective, res.ray)), Z) < 0
+    assert unbounded == 17
 
 
 def rational_lp(rng):
@@ -421,7 +433,7 @@ for corrupt in ("rhs", "ray"):
     tab = warm.tab
     tab.rows[0][-1 if corrupt == "rhs" else 1] += 1
     try:
-        tab.solution() if corrupt == "rhs" else tab.ray(1)
+        tab.witness(None) if corrupt == "rhs" else tab.witness(1)
     except InvariantViolated as exc:
         print("caught:", exc)
 """
@@ -472,7 +484,7 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
         generators.random_structure(rng, 3),
     ]
     programs = [
-        build_blp(structures[k % 5], generators.random_instance(rng, structures[k % 5], 8, 8)).lp
+        build_blp(structures[k % 5], generators.random_instance(rng, structures[k % 5], 8, 8))
         for k in range(60)
     ]
     programs += [rational_lp(rng) for _ in range(60)]
@@ -544,7 +556,7 @@ def recording_init(tab, lp):
     tab.rows = Recording(tab.rows)
 exactlp._Tableau.__init__ = recording_init
 instance = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
-prog = relax.build_blp(generators.xor_structure(), instance).lp
+prog = relax.build_blp(generators.xor_structure(), instance)
 tab = exactlp.WarmLP(prog).tab
 print("deleted:", deleted, "basis:", tab.basis)
 ray = min(set(range(prog.n)) - set(tab.basis))
@@ -566,10 +578,10 @@ def bump_deleted_rhs(tab):
     tab.scaled[k][-1] += 1
     tab.cols[-1] = [(i, a + (i == k)) for i, a in tab.cols[-1]]
 for i in range(len(tab.rows)):
-    caught(bump(i, -1), lambda tab: tab.solution())
+    caught(bump(i, -1), lambda tab: tab.witness(None))
 for i in range(len(tab.rows)):
-    caught(bump(i, ray), lambda tab: tab.ray(ray))
-caught(bump_deleted_rhs, lambda tab: tab.solution())
+    caught(bump(i, ray), lambda tab: tab.witness(ray))
+caught(bump_deleted_rhs, lambda tab: tab.witness(None))
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run(

@@ -54,14 +54,14 @@ def test_build_blp_column_layout():
     ins = inst(["x", "y"], [("xor1", ["x", "y"])], 0)
     blp = build_blp(XOR, ins)
     # crisp xor1 keeps its two satisfying tuples; both marginals survive
-    lam = [k for k in blp.index.columns if k[0] == "lam"]
-    mu = [k for k in blp.index.columns if k[0] == "mu"]
+    lam = [k for k in blp.columns if k[0] == "lam"]
+    mu = [k for k in blp.columns if k[0] == "mu"]
     assert lam == [("lam", 0, ("0", "1")), ("lam", 0, ("1", "0"))]
     assert len(mu) == 4
-    assert [k[2] for k in blp.index.eliminated] == [("0", "0"), ("1", "1")]
+    assert [k[2] for k in blp.eliminated] == [("0", "0"), ("1", "1")]
     # one marginal row per term coordinate and label, one normalisation
     # per variable; the lambda normalisations are implied
-    assert len(blp.lp.rows) == 2 * 2 + 2
+    assert len(blp.rows) == 2 * 2 + 2
 
 
 def blp_ladder():
@@ -94,8 +94,8 @@ def blp_ladder():
 def test_build_blp_matches_four_pass_reference():
     for delta, ins in blp_ladder():
         blp = build_blp(delta, ins)
-        got = (blp.lp.rows, blp.lp.rhs, blp.lp.objective)
-        assert got + (blp.index.columns, blp.index.eliminated) == reference_blp(delta, ins)
+        got = (blp.rows, blp.rhs, blp.objective)
+        assert got + (blp.columns, blp.eliminated) == reference_blp(delta, ins)
 
 
 def test_build_blp_contradictory_units_infeasible():
@@ -138,7 +138,7 @@ def test_blp_solutions_respect_implied_upper_bounds():
 def solve_lp_point(blp):
     from pvcsp import exactlp
 
-    res = exactlp.solve_lp(blp.lp)
+    res = exactlp.solve_lp(blp)
     return res.point if res.status == exactlp.OPTIMAL else None
 
 
@@ -150,18 +150,18 @@ def test_build_blp_rejects_invalid_instance():
 def test_build_blp_unary_layout():
     ins = inst(["x"], [("w", ["x"])], 0)
     blp = build_blp(WEIGHTED, ins)
-    lam = [k for k in blp.index.columns if k[0] == "lam"]
-    mu = [k for k in blp.index.columns if k[0] == "mu"]
+    lam = [k for k in blp.columns if k[0] == "lam"]
+    mu = [k for k in blp.columns if k[0] == "mu"]
     assert len(lam) == 2 and len(mu) == 2
-    assert len(blp.lp.rows) == 2 + 1
+    assert len(blp.rows) == 2 + 1
     assert blp_value(blp) == 0
 
 
 def test_build_blp_no_terms():
     ins = inst(["x"], [], 0)
     blp = build_blp(WEIGHTED, ins)
-    assert [k[0] for k in blp.index.columns] == ["mu", "mu"]
-    assert len(blp.lp.rows) == 1
+    assert [k[0] for k in blp.columns] == ["mu", "mu"]
+    assert len(blp.rows) == 1
     assert blp_value(blp) == 0
 
 
@@ -169,8 +169,8 @@ def test_build_aip_shares_index_with_blp():
     ins = inst(["x", "y"], [("xor1", ["x", "y"])], 0)
     blp = build_blp(XOR, ins)
     aip = build_aip(XOR, ins)
-    assert aip.index.columns == blp.index.columns
-    assert aip.rows == [[int(a) for a in row] for row in blp.lp.rows]
+    assert aip.columns == blp.columns
+    assert aip.rows == [[int(a) for a in row] for row in blp.rows]
 
 
 def test_aip_value_satisfiable_parity():
@@ -204,7 +204,7 @@ def test_aip_value_empty_domain_symbol_infeasible():
 
 def value_of(star, key):
     """The star point's value at a column key; 0 at an eliminated column."""
-    return dict(zip(star.index.columns, star.values)).get(key, 0)
+    return dict(zip(star.columns, star.values)).get(key, 0)
 
 
 def test_select_star_point_interior_case():
@@ -219,7 +219,7 @@ def test_select_star_point_interior_case():
 
 
 def star_cost(blp, star):
-    return sum((c * v for c, v in zip(blp.lp.objective, star.values)), F(0))
+    return sum((c * v for c, v in zip(blp.objective, star.values)), F(0))
 
 
 def test_select_star_point_mixing_case():
@@ -387,7 +387,7 @@ def test_star_point_ints_match_fraction_reference(monkeypatch):
     for k in range(150):
         delta = mixed_denominator_structure(rng)
         instance = generators.random_instance(rng, delta, 6, 6)
-        lp = build_blp(delta, instance).lp
+        lp = build_blp(delta, instance)
         value, cost, _, _, _ = fraction_star_point(lp)
         if value is None:
             assert blp_value(build_blp(delta, instance)) is PLUS_INF
@@ -417,8 +417,8 @@ def test_refine_aip_drops_zero_columns():
     aip = build_aip(XOR, ins)
     star = select_star_point(blp, F(0))
     refined = refine_aip(aip, star)
-    assert len(refined.index.columns) == sum(1 for v in star.values if v > 0)
-    assert len(refined.rows[0]) == len(refined.index.columns)
+    assert len(refined.columns) == sum(1 for v in star.values if v > 0)
+    assert len(refined.rows[0]) == len(refined.columns)
 
 
 def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
@@ -438,18 +438,18 @@ def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
     ]
     for delta, ins, provenance in cases:
         blp = build_blp(delta, ins)
-        rows = [row[:] for row in blp.lp.rows]
-        rhs = list(blp.lp.rhs)
-        objective = list(blp.lp.objective)
+        rows = [row[:] for row in blp.rows]
+        rhs = list(blp.rhs)
+        objective = list(blp.objective)
         aip = blp
-        assert aip.rows is blp.lp.rows and aip.rhs is blp.lp.rhs
+        assert blp.warm.lp is blp
         aip_value(aip)
         aip_value(refine_aip(aip, select_star_point(blp, F(0))))
         monkeypatch.setattr(relax, "build_blp", lambda delta, instance: blp)
         answer = combined_solve(delta, ins)
         assert answer.star_provenance == provenance and answer.aff_value is not None
-        assert blp.lp.rows == rows and blp.lp.rhs == rhs
-        assert blp.lp.objective == objective
+        assert blp.rows == rows and blp.rhs == rhs
+        assert blp.objective == objective
 
 
 def test_refine_aip_restores_finite_value():
@@ -501,6 +501,14 @@ def test_odd_cycle_separates_blp_from_combined():
     assert only.verdict == YES and only.blp_value == 0
     assert both.verdict == NO and both.aff_value is PLUS_INF
     assert both.eliminated
+
+
+def test_aip_engine_reports_eliminated_tuples():
+    # the AIP-only engine leaves out the +inf tuples, as the BLP does
+    ins = inst(["x", "y"], [("xor1", ["x", "y"])], 0)
+    answer = ENGINES["aip"](XOR, ins)
+    assert answer.eliminated == [("lam", 0, ("0", "0")), ("lam", 0, ("1", "1"))]
+    assert "eliminated columns: 2" in answer.trace().splitlines()
 
 
 def test_combined_solve_trace_mentions_verdict():
