@@ -49,10 +49,13 @@ def _load_instance(path: str) -> Instance:
 def _parse_partition(spec: str) -> BlockPartition:
     if not spec.startswith("sizes:"):
         raise FormatError("partition spec must look like 'sizes:2,1'")
+    sizes = spec[len("sizes:") :].split(",")
     try:
-        sizes = [int(s) for s in spec[len("sizes:") :].split(",")]
-        # a size below 1 makes an empty block, which from_sizes rejects
-        return BlockPartition.from_sizes(sizes)
+        # int() would also read signs, spaces and non-ASCII digits
+        if not all(s.isascii() and s.isdigit() for s in sizes):
+            raise ValueError("sizes must be ASCII digits")
+        # a size of 0 makes an empty block, which from_sizes rejects
+        return BlockPartition.from_sizes([int(s) for s in sizes])
     except ValueError as exc:
         raise FormatError(f"bad partition {spec!r}: {exc}") from None
 
@@ -77,7 +80,8 @@ def cmd_solve(args) -> int:
         gamma = _load_structure(args.gamma) if args.gamma else delta
         cls = pvcsp_oracle(PromiseTemplate(delta, gamma), instance)
         payload = {"verdict": cls, "blp_value": None, "star": None,
-                   "aff_value": None}
+                   "aff_value": None, "columns": None, "rows": None,
+                   "eliminated": None}
         _emit(args, payload, cls)
         return EXIT_YES if cls in (YES, GAP) else EXIT_NO
     answer = relax.ENGINES[args.algorithm](delta, instance)
@@ -88,6 +92,9 @@ def cmd_solve(args) -> int:
             "blp_value": _format_optional(answer.blp_value),
             "star": answer.star_provenance,
             "aff_value": _format_optional(answer.aff_value),
+            "columns": answer.program_size[0],
+            "rows": answer.program_size[1],
+            "eliminated": len(answer.eliminated),
         },
         answer.trace(),
     )
@@ -158,6 +165,8 @@ def _draw(family: str, rng: random.Random):
 
 
 def cmd_compare(args) -> int:
+    if args.count < 1:
+        raise PreconditionViolated(f"--count must be at least 1, not {args.count}")
     rng = random.Random(args.seed)
     engines = args.engines.split(",")
     unknown = [e for e in engines if e not in relax.ENGINES]

@@ -1,23 +1,25 @@
 """Exact rational LP in standard equality form (min c.x, Ax = b, x >= 0).
 
 Two-phase simplex with Bland's anti-cycling rule.  Input entries are ints
-or Fractions, exact either way; outputs are Fractions.  Phase 1 adds an
-artificial only to a row without a unit column (a slack of 1, say).  The
-tableau is integer-preserving (Python ints over one denominator per row,
+or Fractions, exact either way; outputs are Fractions.  WarmLP is the
+tableau: it is built and taken through phase 1 once, and phase 2 and the
+support rounds then run on it.  Phase 1 adds an artificial only to a row
+without a unit column (a slack of 1, say).  The tableau is
+integer-preserving (Python ints over one denominator per row,
 fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
 so pricing is a scan of that row.  A pivot costs what the pivot row's
 nonzeros cost on a row already over the pivot's denominator (most rows of
 a 0/±1 program).  The tableau hands out a basic solution in one form,
-`_Tableau.witness`: the nonzero coordinates of the basic solution, or of
-the end of an improving ray from it, as ints over the tableau's
-denominator, checked against the scaled input rows through their column
-index.  Phase 2's point and ray are read off it, and the optimum's value
-is summed from those checked ints and divided once.  Also provides the
-relative-interior machinery: a support profile (which coordinates can be
-positive over the feasible region or over its optimal face) and a
-relative interior point, the average, in ints, of the witnesses found by
-warm support rounds on the one tableau that phase 1 built, handed out as
-ints over one denominator only; `divided` makes Fractions of them.
+`WarmLP.witness`: the nonzero coordinates of the basic solution, or of the
+end of an improving ray from it, as ints over the tableau's denominator,
+checked against the scaled input rows through their column index.  Phase
+2's point and ray are read off it, and the optimum's value is summed from
+those checked ints and divided once.  Also provides the relative-interior
+machinery: a support profile (which coordinates can be positive over the
+feasible region or over its optimal face) and a relative interior point,
+the average, in ints, of the witnesses found by warm support rounds on the
+one tableau, handed out as ints over one denominator only; `divided` makes
+Fractions of them.
 """
 
 from __future__ import annotations
@@ -90,8 +92,11 @@ def _eliminate(
     return [(p * a - f * b) // e for a, b in zip(row, prow)]
 
 
-class _Tableau:
-    """Integer-preserving simplex tableau with an explicit basis.
+class WarmLP:
+    """An integer-preserving simplex tableau with an explicit basis, built
+    and taken through phase 1 once; phase 2 and the support rounds then run
+    on it, each from the basis the previous step left.  It keeps n and the
+    program's objective list, not the program.
 
     Row i of `rows` holds the constraint coefficients and then the rhs, all
     Python ints; the true row is rows[i] / den[i].  `d` > 0 is the absolute
@@ -106,15 +111,16 @@ class _Tableau:
     every other row) starts basic; columns beyond n are phase-1
     artificials, one per row without one, dropped once phase 1 is over.
     `cols` indexes the scaled input rows by column (the rhs at n) as the
-    (row, coefficient) pairs of their nonzeros.
+    (row, coefficient) pairs of their nonzeros.  `feasible` is phase 1's
+    verdict.
     """
 
     def __init__(self, lp: LinearProgram):
         self.n = n = lp.n
+        self.objective = lp.objective
         m = len(lp.rows)
-        # row i scaled by s_i, the lcm of its denominators, with its sign
+        # each row scaled by the lcm of its denominators, with its sign
         # chosen so that rhs >= 0
-        self.scale: list[int] = []
         self.scaled: list[list[int]] = []
         for row, b in zip(lp.rows, lp.rhs):
             s = math.lcm(b.denominator, *map(attrgetter("denominator"), row))
@@ -126,7 +132,6 @@ class _Tableau:
                     s = -s
                 ints = [a.numerator * (s // a.denominator) for a in row]
                 ints.append(b.numerator * (s // b.denominator))
-            self.scale.append(abs(s))
             self.scaled.append(ints)
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         for i, ints in enumerate(self.scaled):
@@ -150,6 +155,33 @@ class _Tableau:
         # the reduced-cost row of the current run, over red_den; see run
         self.red: Optional[list[int]] = None
         self.red_den = 1
+        self.feasible = self._phase1()
+
+    def _phase1(self) -> bool:
+        """Minimise the artificials' sum; on a feasible region, drive the
+        artificials out of the basis and drop the rows left redundant.
+        Any positive costs give the same verdict, so each costs 1."""
+        n = self.n
+        if self.run([0] * n + [1] * (self.width - n), range(self.width)) is not None:
+            raise InvariantViolated("phase-1 objective is bounded below by 0")
+        if any(row[-1] for row, b in zip(self.rows, self.basis) if b >= n):
+            return False
+        self.red = None
+        for i in range(len(self.basis) - 1, -1, -1):
+            if self.basis[i] < n:
+                continue
+            row = self.rows[i]
+            piv = next((j for j in range(n) if row[j] != 0), -1)
+            if piv >= 0:
+                self.pivot(i, piv)
+            else:
+                del self.rows[i]
+                del self.den[i]
+                del self.basis[i]
+        # every basic column is structural now
+        self.rows = [row[:n] + row[-1:] for row in self.rows]
+        self.width = n
+        return True
 
     def _at_d(self, row: list[int], e: int) -> list[int]:
         """A row over denominator e, carried over d instead."""
@@ -253,45 +285,6 @@ class _Tableau:
             raise InvariantViolated("basic solution violates an input row")
         return basic
 
-
-def _phase1(lp: LinearProgram) -> Optional[_Tableau]:
-    """Find a basic feasible tableau, or None if the region is empty."""
-    tab = _Tableau(lp)
-    # the artificial of row i stands for s_i times its residual, so costs
-    # 1 / s_i make the objective the plain residual sum
-    cost = [0] * lp.n
-    cost += [Fraction(1, s) for s, b in zip(tab.scale, tab.basis) if b >= lp.n]
-    if tab.run(cost, range(tab.width)) is not None:
-        raise InvariantViolated("phase-1 objective is bounded below by 0")
-    if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= lp.n):
-        return None
-    tab.red = None
-    # drive artificials out of the basis; drop rows that are redundant
-    for i in range(len(tab.basis) - 1, -1, -1):
-        if tab.basis[i] < lp.n:
-            continue
-        row = tab.rows[i]
-        piv = next((j for j in range(lp.n) if row[j] != 0), -1)
-        if piv >= 0:
-            tab.pivot(i, piv)
-        else:
-            del tab.rows[i]
-            del tab.den[i]
-            del tab.basis[i]
-    # every basic column is structural now
-    tab.rows = [row[: lp.n] + row[-1:] for row in tab.rows]
-    tab.width = lp.n
-    return tab
-
-
-class WarmLP:
-    """One phase 1; phase 2 and the support rounds then run on the same
-    tableau, each from the basis the previous step left."""
-
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.tab = _phase1(lp)  # None when the region is empty
-
     def minimise(self) -> LPResult:
         """Phase 2; Optimal returns a minimising basic solution.
 
@@ -299,14 +292,14 @@ class WarmLP:
         divided by d.  The value is summed in ints, the checked basic
         entries over d times the basic objective entries over the lcm L of
         their denominators, and divided by L * d once."""
-        if self.tab is None:
+        if not self.feasible:
             return LPResult(INFEASIBLE)
-        tab, n, objective = self.tab, self.lp.n, self.lp.objective
-        enter = tab.run(objective, range(n))
-        d, basic = tab.d, tab.witness(None)
+        n, objective = self.n, self.objective
+        enter = self.run(objective, range(n))
+        d, basic = self.d, self.witness(None)
         point = divided([basic.get(j, 0) for j in range(n)], d)
         if enter is not None:
-            end = tab.witness(enter)  # the ray's end from the point, over d
+            end = self.witness(enter)  # the ray's end from the point, over d
             ray = divided([end.get(j, 0) - basic.get(j, 0) for j in range(n)], d)
             return LPResult(UNBOUNDED, point=point, ray=ray)
         costs = [objective[b] for b in basic]
@@ -331,7 +324,7 @@ class WarmLP:
         """A feasible point positive exactly on the support profile, as ints
         over one denominator, and the profile: (ints, den, flags), flag_i
         true iff x_i can be positive in the region."""
-        return self._rounds(range(self.lp.n))
+        return self._rounds(range(self.n))
 
     def face_interior_ints(self) -> tuple[list[int], int, list[bool]]:
         """interior_ints of the optimal face.
@@ -341,8 +334,8 @@ class WarmLP:
         the columns of zero reduced cost.
         """
         self.optimum()
-        red = self.tab.red  # as phase 2 left it, at an optimal basis
-        return self._rounds([j for j in range(self.lp.n) if red[j] == 0])
+        red = self.red  # as phase 2 left it, at an optimal basis
+        return self._rounds([j for j in range(self.n) if red[j] == 0])
 
     def _rounds(self, allowed) -> tuple[list[int], int, list[bool]]:
         """Support rounds over the allowed columns, from the current basis.
@@ -358,26 +351,26 @@ class WarmLP:
         out as the witnesses' sum over the lcm of their denominators, in
         ints, with that lcm times their count as its denominator.
         """
-        tab = self.tab
-        if tab is None:
+        if not self.feasible:
             raise InfeasibleRegion("support profile of an empty region")
+        n = self.n
         # each witness as its nonzero coordinates in ints over its d
-        witnesses = [(tab.d, tab.witness(None))]
-        flags = [j in witnesses[0][1] for j in range(self.lp.n)]
+        witnesses = [(self.d, self.witness(None))]
+        flags = [j in witnesses[0][1] for j in range(n)]
         while uncovered := [j for j in allowed if not flags[j]]:
-            cost = [0] * tab.width
+            cost = [0] * n
             for j in uncovered:
                 cost[j] = -1
-            witness = tab.witness(tab.run(cost, allowed))
+            witness = self.witness(self.run(cost, allowed))
             # every positive coordinate is allowed: basic, or the entering one
             new = [j for j, v in witness.items() if v > 0 and not flags[j]]
             if not new:
                 break
             for j in new:
                 flags[j] = True
-            witnesses.append((tab.d, witness))
+            witnesses.append((self.d, witness))
         lcm = math.lcm(*(d for d, _ in witnesses))
-        total = [0] * self.lp.n
+        total = [0] * n
         for d, witness in witnesses:
             for j, v in witness.items():
                 total[j] += v * (lcm // d)

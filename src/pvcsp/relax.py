@@ -282,9 +282,6 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     size = (blp.n, len(blp.rows))
     value = blp_value(blp)
     star = select_star_point(blp, u) if value <= u else None
-    # blp.warm.lp is blp: dropping warm frees the tableau now, not
-    # whenever the cycle collector next runs
-    del blp.warm
     if star is None:
         return SolveAnswer(NO, value, program_size=size)
     refined = refine_aip(blp, star)
@@ -304,7 +301,6 @@ def blp_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     """The BLP-only decision procedure: YES iff blp value <= u."""
     blp = build_blp(delta, instance)
     value = blp_value(blp)
-    del blp.warm  # as in combined_solve
     verdict = YES if value <= instance.threshold else NO
     return SolveAnswer(verdict, value, program_size=(blp.n, len(blp.rows)))
 

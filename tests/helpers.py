@@ -81,7 +81,7 @@ def vertex_minimum(lp):
 
 
 def dense_pivot(tab, r, c):
-    """Reference for exactlp._Tableau.pivot: the dense Bareiss update of
+    """Reference for exactlp.WarmLP.pivot: the dense Bareiss update of
     every row with a nonzero in column c, and of the reduced-cost row, over
     the new denominator p.  `tab` holds rows, den, d, red, red_den and basis
     as in a tableau, and is updated in place."""
@@ -485,7 +485,7 @@ def fraction_star_point(lp, u=None):
     res = warm.minimise()
     if res.status != exactlp.OPTIMAL:
         return None, None, None, None, None
-    value = sum((lp.objective[b] * res.point[b] for b in warm.tab.basis), ZERO)
+    value = sum((lp.objective[b] * res.point[b] for b in warm.basis), ZERO)
     u = value if u is None else u
     if not value <= u:
         return value, None, None, None, None

@@ -80,6 +80,8 @@ def test_solve_json_payload(files, capsys):
     main(["solve", "--structure", s, "--instance", sat, "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "yes" and payload["blp_value"] == "0"
+    # the text trace's columns, rows and count of eliminated columns
+    assert (payload["columns"], payload["rows"], payload["eliminated"]) == (6, 6, 2)
 
 
 def test_solve_aip_reports_aff_value(files, capsys):
@@ -89,6 +91,7 @@ def test_solve_aip_reports_aff_value(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "yes"
     assert payload["aff_value"] == "0" and payload["blp_value"] is None
+    assert (payload["columns"], payload["rows"], payload["eliminated"]) == (6, 6, 2)
     assert main(argv[:-1] + ["--instance", cyc]) == EXIT_NO
     text = capsys.readouterr().out
     assert "verdict: no" in text and "aff value: inf" in text
@@ -191,7 +194,9 @@ def test_construct_counts_enumerated_tuples(tmp_path, capsys, monkeypatch):
     assert "over cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["sizes:a", "sizes:0", "sizes:2,-1", "sizes:"])
+@pytest.mark.parametrize(
+    "spec", ["sizes:a", "sizes:0", "sizes:2,-1", "sizes:", "sizes:\u0662", "sizes:+2", "sizes: 2"]
+)
 def test_construct_malformed_partition(files, capsys, spec):
     _, s, _, _ = files
     code = main(["construct", "--structure", s, "--partition", spec])
@@ -314,7 +319,8 @@ def test_solve_oracle_json(tmp_path, capsys):
     code = main(argv + ["--json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"verdict": expected, "blp_value": None, "star": None,
-                       "aff_value": None}
+                       "aff_value": None, "columns": None, "rows": None,
+                       "eliminated": None}
     assert code == (EXIT_YES if expected in (YES, GAP) else EXIT_NO)
     assert main(argv) == code
     assert capsys.readouterr().out == expected + "\n"
@@ -358,6 +364,14 @@ def test_compare_unknown_engine(capsys):
     assert main(args) == EXIT_ERROR
     captured = capsys.readouterr()
     assert "'bogus'" in captured.err and "aip, blp, combined" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_compare_count_below_one_is_error(capsys, count):
+    assert main(["compare", "--family", "xor", "--count", count]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --count must be at least 1, not {count}\n"
     assert captured.out == ""
 
 

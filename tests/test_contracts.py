@@ -1,6 +1,7 @@
 """Contracts the package keeps with its own benchmark and its own rules."""
 
 import ast
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 from helpers import fraction_star_point
 
-from pvcsp import formats, generators, relax
+from pvcsp import exactlp, formats, generators, relax, theory
 from pvcsp.core import Instance, PromiseTemplate, Signature, Term, ValuedStructure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -162,3 +163,42 @@ def test_no_unused_imports_in_package():
             if name not in read
         ]
     assert found == []
+
+
+def test_no_solve_path_leaves_cyclic_garbage():
+    # every engine, the BLP's value and star point as library calls, and
+    # the witness searches free what they build by reference counting: with
+    # the cycle collector off, a collection afterwards finds nothing
+    rng = random.Random(41)
+    structures = [
+        generators.xor_structure(),
+        generators.horn_structure(),
+        generators.submodular_structure(rng),
+        generators.random_structure(rng, 3),
+    ]
+    instances = [(s, generators.random_instance(rng, s, 5, 5)) for s in structures * 2]
+    templates = [
+        PromiseTemplate(delta, generators.weaken_structure(rng, delta))
+        for delta in (generators.random_structure(rng, 2) for _ in range(3))
+    ]
+    prog = exactlp.LinearProgram(3, [[1, 1, 1], [1, -1, 0]], [2, 0], [-1, 0, 1])
+    stars = 0
+    gc.disable()
+    try:
+        gc.collect()
+        for delta, instance in instances:
+            for engine in relax.ENGINES.values():
+                engine(delta, instance)
+            blp = relax.build_blp(delta, instance)
+            value = relax.blp_value(blp)
+            if value <= instance.threshold:
+                relax.select_star_point(blp, instance.threshold)
+                stars += 1
+        exactlp.solve_lp(prog)
+        for template in templates:
+            theory.find_promise_fpol_lp(template, 2)
+            theory.find_frachom_lp(template.delta, template.gamma)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert stars >= 3

@@ -374,7 +374,7 @@ def slack_form_lp(rng):
     return prog, expected, kinds
 
 
-def test_crash_basis_matches_vertex_enumeration():
+def test_crash_basis_matches_vertex_enumeration(monkeypatch):
     # a row starts from its unit column, and only the others get an
     # artificial; the optimum and both supports are as before
     rng = random.Random(29)
@@ -382,7 +382,9 @@ def test_crash_basis_matches_vertex_enumeration():
     seen = set()
     for _ in range(280):
         prog, expected, kinds = slack_form_lp(rng)
-        tab = exactlp._Tableau(prog)
+        with monkeypatch.context() as m:  # the crash basis, before phase 1
+            m.setattr(WarmLP, "_phase1", lambda tab: None)
+            tab = WarmLP(prog)
         assert [b if b < prog.n else None for b in tab.basis] == expected
         assert tab.width == prog.n + expected.count(None) and tab.d == 1
         vertices = enumerate_vertices(prog)
@@ -407,12 +409,12 @@ def test_all_slack_program_makes_no_phase1_pivot(monkeypatch):
         [-1, -1, 0, 0, 0],
     )
     pivots = []
-    original = exactlp._Tableau.pivot
+    original = WarmLP.pivot
     monkeypatch.setattr(
-        exactlp._Tableau, "pivot", lambda tab, r, c: pivots.append(c) or original(tab, r, c)
+        WarmLP, "pivot", lambda tab, r, c: pivots.append(c) or original(tab, r, c)
     )
     warm = WarmLP(prog)
-    assert pivots == [] and warm.tab.basis == [2, 3, 4] and warm.tab.width == 5
+    assert pivots == [] and warm.basis == [2, 3, 4] and warm.width == 5
     res = warm.minimise()
     assert res.status == OPTIMAL and res.value == F(-1, 3) and pivots
     assert_warm_matches_vertices(prog, enumerate_vertices(prog))
@@ -429,8 +431,7 @@ if __debug__:
     raise SystemExit("asserts are still on")
 prog = LinearProgram(2, [[F(1, 2), F(1, 3)]], [F(1)], [F(1), F(1)])
 for corrupt in ("rhs", "ray"):
-    warm = WarmLP(prog)
-    tab = warm.tab
+    tab = WarmLP(prog)
     tab.rows[0][-1 if corrupt == "rhs" else 1] += 1
     try:
         tab.witness(None) if corrupt == "rhs" else tab.witness(1)
@@ -463,7 +464,7 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
     already over the pivot's denominator (the pivot row's nonzeros only)
     and on the others."""
     rows_by_path = {"sparse": 0, "dense": 0}
-    original = exactlp._Tableau.pivot
+    original = WarmLP.pivot
 
     def replay(tab, r, c):
         ref = tableau_state(tab)
@@ -474,7 +475,7 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
         original(tab, r, c)
         assert tableau_state(tab) == ref
 
-    monkeypatch.setattr(exactlp._Tableau, "pivot", replay)
+    monkeypatch.setattr(WarmLP, "pivot", replay)
     rng = random.Random(37)
     structures = [
         generators.xor_structure(),
@@ -500,7 +501,7 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
     assert rows_by_path["sparse"] > 1000 and rows_by_path["dense"] > 1000
 
 
-def test_int_rows_are_read_as_ints():
+def test_int_rows_are_read_as_ints(monkeypatch):
     # entries given as Fraction(k, 1) among ints: the tableau holds ints
     # only, including a row with a negative rhs, and the answers are the
     # vertex enumeration's
@@ -519,7 +520,9 @@ def test_int_rows_are_read_as_ints():
             rows.append([entry(-2, 2) for _ in range(n)])
             rhs.append(entry(-2, 2))
         prog = LinearProgram(n, rows, rhs, [entry(-2, 2) for _ in range(n)])
-        tab = exactlp._Tableau(prog)
+        with monkeypatch.context() as m:  # the tableau before phase 1
+            m.setattr(WarmLP, "_phase1", lambda tab: None)
+            tab = WarmLP(prog)
         assert all(type(a) is int for ints in tab.scaled + tab.rows for a in ints)
         vertices = enumerate_vertices(prog)
         if not vertices:
@@ -529,7 +532,7 @@ def test_int_rows_are_read_as_ints():
         assert_warm_matches_vertices(prog, vertices)
         warm = WarmLP(prog)
         warm.face_interior_ints()
-        assert all(type(a) is int for ints in warm.tab.scaled + warm.tab.rows for a in ints)
+        assert all(type(a) is int for ints in warm.scaled + warm.rows for a in ints)
     assert checked >= 25 and negative >= 10
 
 
@@ -550,18 +553,18 @@ class Recording(list):
     def __delitem__(self, i):
         deleted.append(i)
         super().__delitem__(i)
-init = exactlp._Tableau.__init__
-def recording_init(tab, lp):
-    init(tab, lp)
+phase1 = exactlp.WarmLP._phase1
+def recording_phase1(tab):
     tab.rows = Recording(tab.rows)
-exactlp._Tableau.__init__ = recording_init
+    return phase1(tab)
+exactlp.WarmLP._phase1 = recording_phase1
 instance = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
 prog = relax.build_blp(generators.xor_structure(), instance)
-tab = exactlp.WarmLP(prog).tab
+tab = exactlp.WarmLP(prog)
 print("deleted:", deleted, "basis:", tab.basis)
 ray = min(set(range(prog.n)) - set(tab.basis))
 def caught(corrupt, check):
-    tab = exactlp.WarmLP(prog).tab
+    tab = exactlp.WarmLP(prog)
     corrupt(tab)
     try:
         check(tab)
