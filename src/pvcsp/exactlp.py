@@ -1,11 +1,14 @@
 """Exact rational LP in standard equality form (min c.x, Ax = b, x >= 0).
 
-Two-phase simplex with Bland's anti-cycling rule.  Input entries are ints
-or Fractions, exact either way; outputs are Fractions.  WarmLP is the
-tableau: it is built and taken through phase 1 once, and phase 2 and the
-support rounds then run on it.  Phase 1 adds an artificial only to a row
-without a unit column (a slack of 1, say).  The tableau is
-integer-preserving (Python ints over one denominator per row,
+Two-phase simplex that prices by Dantzig's rule (the most negative reduced
+cost) and falls back to Bland's rule after a degenerate pivot, so it never
+cycles.  Input entries are ints or Fractions, exact either way; outputs are
+Fractions.  WarmLP is the tableau: it is built and taken through phase 1
+once, and phase 2 and the support rounds then run on it.  Rows known to be
+implied by the others (the BLP's, say) stay out of the tableau but are
+checked like the rest.  Phase 1 adds an artificial only to a row without a
+unit column (a slack of 1, say) among the rows the tableau holds.  The
+tableau is integer-preserving (Python ints over one denominator per row,
 fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
 so pricing is a scan of that row.  A pivot costs what the pivot row's
 nonzeros cost on a row already over the pivot's denominator (most rows of
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -110,15 +113,17 @@ class WarmLP:
     of being rescaled.  A row's unit column (1 in it once scaled, 0 in
     every other row) starts basic; columns beyond n are phase-1
     artificials, one per row without one, dropped once phase 1 is over.
-    `cols` indexes the scaled input rows by column (the rhs at n) as the
-    (row, coefficient) pairs of their nonzeros.  `feasible` is phase 1's
-    verdict.
+    `scaled` holds every input row, and `cols` indexes them by column (the
+    rhs at n) as the (row, coefficient) pairs of their nonzeros; the
+    tableau leaves out the `implied` input rows, each a combination of the
+    others, so a column is a unit column when it is one in the rows held.
+    Every basic solution is checked against all of `scaled`, the implied
+    rows included.  `feasible` is phase 1's verdict.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, implied: Iterable[int] = ()):
         self.n = n = lp.n
         self.objective = lp.objective
-        m = len(lp.rows)
         # each row scaled by the lcm of its denominators, with its sign
         # chosen so that rhs >= 0
         self.scaled: list[list[int]] = []
@@ -137,19 +142,33 @@ class WarmLP:
         for i, ints in enumerate(self.scaled):
             for j in compress(range(n + 1), ints):
                 self.cols[j].append((i, ints[j]))
+        held = self.scaled
+        columns: Iterable[list[tuple[int, int]]] = self.cols[:n]
+        if implied:
+            # the tableau holds the other rows, and a unit column is one
+            # in the rows it holds: at[i] is input row i's tableau row
+            skip = set(implied)
+            kept = [i for i in range(len(self.scaled)) if i not in skip]
+            held = [self.scaled[i] for i in kept]
+            at = [-1] * len(self.scaled)
+            for t, i in enumerate(kept):
+                at[i] = t
+            columns = (
+                [(at[i], a) for i, a in column if at[i] >= 0] for column in columns
+            )
         # each row starts from its first unit column, or else an artificial
-        self.basis = [-1] * m
-        for j, column in enumerate(self.cols[:n]):
+        self.basis = [-1] * len(held)
+        for j, column in enumerate(columns):
             if len(column) == 1 and column[0][1] == 1:
                 i = column[0][0]
                 if self.basis[i] < 0:
                     self.basis[i] = j
         arts = [i for i, b in enumerate(self.basis) if b < 0]
-        self.rows = [ints[:-1] + [0] * len(arts) + ints[-1:] for ints in self.scaled]
+        self.rows = [ints[:-1] + [0] * len(arts) + ints[-1:] for ints in held]
         for t, i in enumerate(arts):
             self.rows[i][n + t] = 1
             self.basis[i] = n + t
-        self.den = [1] * m
+        self.den = [1] * len(held)
         self.width = n + len(arts)
         self.d = 1
         # the reduced-cost row of the current run, over red_den; see run
@@ -209,8 +228,9 @@ class WarmLP:
         self.d = p
         self.basis[r] = c
 
-    def run(self, cost: list, allowed: Iterable[int]) -> Optional[int]:
-        """Minimise cost over the allowed columns with Bland's rule.
+    def run(self, cost: list, allowed: Sequence[int]) -> Optional[int]:
+        """Minimise cost over the allowed columns: Dantzig's rule with a
+        fallback to Bland's rule after a degenerate pivot.
 
         `cost` holds ints or Fractions, one per column.  `allowed` lists
         column indices in increasing order and must hold every basic column;
@@ -218,8 +238,16 @@ class WarmLP:
         entering column index on unboundedness (no positive pivot entry in
         that column).  `red` is d * L * (cost - c_B B^-1 A), L the lcm of
         the cost denominators: built once here and updated by every pivot,
-        so pricing is a scan for its first negative entry.  It is left
-        as the last pivot made it.
+        so pricing is a scan of it.  It is left as the last pivot made it.
+
+        The entering column has the most negative reduced cost (the first
+        such), except after a degenerate pivot (the leaving row's rhs is 0),
+        when it is the first negative one, until a pivot moves the point
+        again; the leaving row has the least ratio, ties to the least basic
+        column.  So every run of degenerate pivots is Bland's rule from its
+        second pivot on, which never repeats a basis (Bland 1977), and so
+        ends; each nondegenerate pivot strictly lowers the objective, so no
+        basis from before it comes back, and the run ends.
         """
         lcm = math.lcm(*(c.denominator for c in cost))
         scaled = [c.numerator * (lcm // c.denominator) for c in cost]
@@ -231,9 +259,20 @@ class WarmLP:
                 for k in compress(range(len(row)), row):
                     red[k] -= w * row[k]
         self.red, self.red_den = red, self.d
+        # with every column allowed, Dantzig's scan is one min over red less
+        # its last (rhs) entry
+        every = len(allowed) == self.width
+        bland = False
         while True:
             red = self.red
-            enter = next((j for j in allowed if red[j] < 0), -1)
+            if bland:
+                enter = next((j for j in allowed if red[j] < 0), -1)
+            elif every:
+                least = min(red[:-1], default=0)
+                enter = red.index(least) if least < 0 else -1
+            else:
+                enter = min(allowed, key=red.__getitem__, default=-1)
+                enter = enter if enter >= 0 and red[enter] < 0 else -1
             if enter < 0:
                 return None
             leave = -1
@@ -252,6 +291,7 @@ class WarmLP:
                         leave, best = i, row
             if leave < 0:
                 return enter
+            bland = best[-1] == 0  # a degenerate pivot: the point stays
             self.pivot(leave, enter)
 
     def witness(self, enter: Optional[int]) -> dict[int, int]:

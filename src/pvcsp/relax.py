@@ -10,9 +10,13 @@ coordinate-for-coordinate with the integer program.  Tuples outside dom(f)
 are eliminated from the column set rather than constrained to zero, and
 the refinement eliminates further columns.
 The BLP is built in one pass over each term's tuples, and its phase 2 runs
-once, for its value and its star point.  The objective is scaled to ints
-once per program, and one helper compares a point's cost with a value:
-the star point's cost and mix are sums of ints over one denominator.
+once, for its value and its star point.  Of a term of arity k, k - 1
+marginal rows are integer combinations of the others; the program keeps
+them and lists them, the simplex tableau and the AIP's echelon leave them
+out, and every check of a point still reads them.  The objective is
+scaled to ints once per program, and one helper compares a point's cost
+with a value: the star point's cost and mix are sums of ints over one
+denominator.
 Every star point is checked against the BLP's int rows and the cost
 window optimum <= cost <= u.
 """
@@ -44,15 +48,19 @@ class Relaxation(LinearProgram):
     """The BLP's constraint system (rows . x = rhs, x >= 0, min objective . x),
     an LP over Q and read over Z by the AIP.  Rows and rhs are ints;
     `columns` keys the n columns and `eliminated` the columns left out.
-    The cached phase 1, phase 2 and int objective live and die with it."""
+    `implied` lists the rows that are integer combinations of the others,
+    rhs included, so the tableau and the echelon leave them out.  The
+    cached phase 1, phase 2 and int objective live and die with it."""
 
     columns: list[ColKey]
     eliminated: list[ColKey]
+    implied: list[int]
 
     @functools.cached_property
     def warm(self) -> exactlp.WarmLP:
-        """The one phase 1 that blp_value and select_star_point share."""
-        return exactlp.WarmLP(self)
+        """The one phase 1 that blp_value and select_star_point share; the
+        tableau leaves out the implied rows, and its checks read them."""
+        return exactlp.WarmLP(self, self.implied)
 
     @functools.cached_property
     def phase2(self) -> exactlp.LPResult:
@@ -81,6 +89,13 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     per-variable normalisations (= 1).  Entries are the ints 0, 1 and -1,
     exact for the LP and integral for the AIP.  The bounds lambda, mu <= 1
     follow from nonnegativity and the normalisations and are not encoded.
+
+    The marginal rows of one position sum, with its variable's
+    normalisation, to "the term's lambdas sum to 1".  So at every position
+    p > 0 the last label's row is the sum of position 0's rows plus
+    norm(x_0), less norm(x_p) and position p's other rows: coefficients
+    and rhs, over Q and Z, feasible or not.  Those k - 1 rows per term of
+    arity k are kept, and listed in `implied`.
     """
     check_instance(delta, instance)
     columns, eliminated, objective = [], [], []
@@ -105,15 +120,17 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
             columns.append(("mu", x, a))
             objective.append(ZERO)
     n = len(columns)
-    rows = []
+    rows, implied = [], []
     for term, cells in zip(instance.terms, marginals):
-        for x, cell in zip(term.args, cells):
+        for p, (x, cell) in enumerate(zip(term.args, cells)):
             for a, lams in cell.items():
                 row = [0] * n
                 for i in lams:
                     row[i] = 1
                 row[mu[x, a]] = -1
                 rows.append(row)
+            if p and cell:  # p > 0: the last label's row is implied
+                implied.append(len(rows) - 1)
     rhs = [0] * len(rows)
     for x in instance.variables:
         row = [0] * n
@@ -121,7 +138,7 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
             row[mu[x, a]] = 1
         rows.append(row)
         rhs.append(1)
-    return Relaxation(n, rows, rhs, objective, columns, eliminated)
+    return Relaxation(n, rows, rhs, objective, columns, eliminated, implied)
 
 
 def build_aip(delta: ValuedStructure, instance: Instance) -> Relaxation:
@@ -141,8 +158,12 @@ def blp_value(blp: Relaxation) -> ExtVal:
 
 def aip_value(aip: Relaxation) -> ExtVal:
     """min objective.x over the AIP's integer solutions, from one echelon
-    elimination under the objective row: no unimodular transform is built."""
-    return lattice.affine_min(aip.rows, aip.rhs, aip.objective)
+    elimination under the objective row, of the rows not implied by the
+    others: no unimodular transform is built."""
+    skip = set(aip.implied)
+    rows = [row for i, row in enumerate(aip.rows) if i not in skip]
+    rhs = [b for i, b in enumerate(aip.rhs) if i not in skip]
+    return lattice.affine_min(rows, rhs, aip.objective)
 
 
 FEASIBLE_INTERIOR = "feasible-interior"
@@ -246,6 +267,7 @@ def refine_aip(aip: Relaxation, star: StarPoint) -> Relaxation:
         [aip.objective[i] for i in keep],
         [aip.columns[i] for i in keep],
         aip.eliminated + dropped,
+        aip.implied,
     )
 
 
@@ -302,7 +324,12 @@ def blp_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     blp = build_blp(delta, instance)
     value = blp_value(blp)
     verdict = YES if value <= instance.threshold else NO
-    return SolveAnswer(verdict, value, program_size=(blp.n, len(blp.rows)))
+    return SolveAnswer(
+        verdict,
+        value,
+        eliminated=blp.eliminated,
+        program_size=(blp.n, len(blp.rows)),
+    )
 
 
 def aip_only_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:

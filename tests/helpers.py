@@ -474,14 +474,15 @@ def reference_blp(delta, instance):
 def fraction_star_point(lp, u=None):
     """The star point with every sum after the simplex in Fractions.
 
-    On a fresh WarmLP of the BLP's lp: phase 2's value summed over the
+    On a fresh WarmLP of the BLP, built as Relaxation.warm builds it (the
+    implied rows left out of the tableau): phase 2's value summed over the
     basis, the interior point's cost, theta* = (cost - u) / (cost - value),
     theta = (theta* + 1) / 2 and the mix (1 - theta) p + theta v with the
     optimal vertex v.  u defaults to the value.  Returns the value, the
     interior point's cost, the star values, the provenance and the branch
     taken ("interior", "mix" or "face"); all but the value are None when
     the value exceeds u, and all five when the region is empty."""
-    warm = exactlp.WarmLP(lp)
+    warm = exactlp.WarmLP(lp, lp.implied)
     res = warm.minimise()
     if res.status != exactlp.OPTIMAL:
         return None, None, None, None, None

@@ -99,11 +99,20 @@ def test_solve_aip_reports_aff_value(files, capsys):
 
 
 def test_solve_aip_reports_eliminated_columns(files, capsys):
-    # neq's two +inf tuples are left out by the AIP engine as by combined
+    # neq's two +inf tuples are left out by every engine
     _, s, sat, _ = files
-    for algorithm in ("aip", "combined"):
+    for algorithm in ("aip", "blp", "combined"):
         main(["solve", "--structure", s, "--instance", sat, "--algorithm", algorithm])
         assert "eliminated columns: 2" in capsys.readouterr().out.splitlines()
+
+
+def test_solve_blp_json_reports_eliminated_columns(files, capsys):
+    _, s, sat, _ = files
+    argv = ["solve", "--structure", s, "--instance", sat, "--algorithm", "blp", "--json"]
+    assert main(argv) == EXIT_YES
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["blp_value"] == "0"
+    assert (payload["columns"], payload["rows"], payload["eliminated"]) == (6, 6, 2)
 
 
 def test_solve_missing_file_is_error(files, capsys):

@@ -420,6 +420,95 @@ def test_all_slack_program_makes_no_phase1_pivot(monkeypatch):
     assert_warm_matches_vertices(prog, enumerate_vertices(prog))
 
 
+# Beale's (1955) LP: min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 over three rows
+# with slacks x1, x2, x3; its optimum is -1/20
+BEALE = lp(
+    7,
+    [
+        [1, 0, 0, F(1, 4), -60, F(-1, 25), 9],
+        [0, 1, 0, F(1, 2), -90, F(-1, 50), 3],
+        [0, 0, 1, 0, 0, 1, 0],
+    ],
+    [0, 0, 1],
+    [0, 0, 0, F(-3, 4), 150, F(-1, 50), 6],
+)
+# the same LP from the second basis of its Dantzig cycle, {x4, x2, x3}: the
+# rows solved for that basis, the columns scaled by 3, 6, 1, 4, 3/5, 100 and
+# 4 so that every row is an int row with its basic column a unit column,
+# and the reduced costs there as the objective (they differ from Beale's by
+# a multiple of the rhs-0 rows).  The tableau starts from that basis, and
+# Dantzig's rule alone comes back to it every six degenerate pivots.
+BEALE_CYCLE = lp(
+    7,
+    [[3, 0, 0, 1, -36, -4, 36], [-1, 1, 0, 0, 3, 1, -10], [0, 0, 1, 0, 0, 100, 0]],
+    [0, 0, 1],
+    [9, 0, 0, 0, -18, -14, 132],
+)
+
+
+def counting_pivots(monkeypatch):
+    """Record every pivot as whether it is degenerate (its rhs is 0); a
+    cycling run fails at its 1,000th pivot instead of running forever."""
+    pivots = []
+    original = WarmLP.pivot
+
+    def pivot(tab, r, c):
+        pivots.append(tab.rows[r][-1] == 0)
+        assert len(pivots) < 1000, "the simplex cycles"
+        original(tab, r, c)
+
+    monkeypatch.setattr(WarmLP, "pivot", pivot)
+    return pivots
+
+
+def test_pricing_terminates_on_beales_cycling_lp(monkeypatch):
+    # after the first degenerate pivot the Bland fallback takes over, and
+    # the run leaves the cycle at Beale's optimum
+    pivots = counting_pivots(monkeypatch)
+    warm = WarmLP(BEALE_CYCLE)
+    assert warm.basis == [3, 1, 2] and pivots == []
+    res = warm.minimise()
+    assert res.status == OPTIMAL and res.value == F(-1, 20)
+    assert res.value == vertex_minimum(BEALE_CYCLE)
+    assert pivots[0] and len(pivots) < 6
+    # as given, Beale's rows are not int rows, so phase 1 starts elsewhere
+    res = solve_lp(BEALE)
+    assert res.status == OPTIMAL and res.value == F(-1, 20)
+
+
+def degenerate_lp(rng):
+    """A region that a row of positive coefficients keeps bounded, whose
+    other rows have rhs 0, half of them with a slack, so that many bases
+    share a point and most pivots, in phase 1 and phase 2, are degenerate."""
+    n = rng.randint(3, 5)
+    m = rng.randint(2, 4)
+    rows = [[rng.randint(1, 3) for _ in range(n)]]
+    rows += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m - 1)]
+    slacks = [i for i in range(1, m) if rng.random() < 0.5]
+    for i, row in enumerate(rows):
+        row.extend(int(i == k) for k in slacks)
+    n += len(slacks)
+    rhs = [rng.randint(1, 4)] + [0] * (m - 1)
+    return lp(n, rows, rhs, [rng.randint(-3, 3) for _ in range(n)])
+
+
+def test_degenerate_lps_match_vertex_enumeration(monkeypatch):
+    pivots = counting_pivots(monkeypatch)
+    rng = random.Random(53)
+    optimal = 0
+    for _ in range(150):
+        prog = degenerate_lp(rng)
+        res = solve_lp(prog)
+        expected = vertex_minimum(prog)
+        if expected is None:
+            assert res.status == INFEASIBLE
+            continue
+        optimal += 1
+        assert res.status == OPTIMAL and res.value == expected
+    assert optimal >= 60
+    assert sum(pivots) >= 200 and sum(pivots) > len(pivots) // 2
+
+
 def test_basic_solutions_checked_in_ints_under_optimise_flag():
     # a tableau entry corrupted after phase 1 must not reach a caller, even
     # with asserts off
@@ -537,8 +626,9 @@ def test_int_rows_are_read_as_ints(monkeypatch):
 
 
 def test_column_indexed_check_under_optimise_flag():
-    # the BLP of one xor1 term over x, y: phase 1 deletes a normalisation
-    # row as redundant, and the check still reads that row's scaled input;
+    # the BLP of one xor1 term over x, y, on a tableau of all its rows:
+    # phase 1 deletes a normalisation row as redundant, and the check still
+    # reads that row's scaled input;
     # every corruption of a basic rhs entry, of the entries of a ray
     # column, or of that row's rhs must not reach a caller
     script = """
@@ -594,3 +684,48 @@ caught(bump_deleted_rhs, lambda tab: tab.witness(None))
     ).stdout.splitlines()
     assert out[0] == "deleted: [5] basis: [0, 1, 3, 2, 4]"
     assert out[1:] == ["caught: basic solution violates an input row"] * 11
+
+
+def test_implied_row_checked_under_optimise_flag():
+    # the same BLP's own tableau leaves out its implied row, the last
+    # marginal row of y, and phase 1 deletes nothing; a corrupted rhs of
+    # that row in the scaled input, or its entry at a basic column, must
+    # still not reach a caller
+    script = """
+from fractions import Fraction as F
+from pvcsp import exactlp, generators, relax
+from pvcsp.core import Instance, Term
+from pvcsp.errors import InvariantViolated
+if __debug__:
+    raise SystemExit("asserts are still on")
+instance = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
+prog = relax.build_blp(generators.xor_structure(), instance)
+tab = prog.warm
+(k,) = prog.implied
+print("implied:", k, "held:", len(tab.rows), "of", len(tab.scaled))
+# a basic column with a nonzero in the implied row, read from its index
+j = next(j for j in tab.witness(None) if any(i == k for i, _ in tab.cols[j]))
+def bump_rhs(tab):
+    tab.scaled[k][-1] += 1
+    tab.cols[-1] = sorted(tab.cols[-1] + [(k, 1)])
+def bump_entry(tab):
+    tab.scaled[k][j] += 1
+    tab.cols[j] = [(i, a + (i == k)) for i, a in tab.cols[j]]
+for corrupt in (bump_rhs, bump_entry):
+    tab = exactlp.WarmLP(prog, prog.implied)
+    corrupt(tab)
+    try:
+        tab.witness(None)
+    except InvariantViolated as exc:
+        print("caught:", exc)
+    else:
+        print("missed")
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "implied: 3 held: 5 of 6"
+    assert out[1:] == ["caught: basic solution violates an input row"] * 2

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from helpers import fraction_star_point, reference_blp
 
-from pvcsp import exactlp, generators, relax
+from pvcsp import exactlp, generators, lattice, relax
 from pvcsp.core import (
     GAP,
     Instance,
@@ -96,6 +96,69 @@ def test_build_blp_matches_four_pass_reference():
         blp = build_blp(delta, ins)
         got = (blp.rows, blp.rhs, blp.objective)
         assert got + (blp.columns, blp.eliminated) == reference_blp(delta, ins)
+
+
+def test_implied_rows_are_combinations_of_the_others():
+    # at each position p > 0 of a term, the last label's row is the sum of
+    # position 0's rows and norm(x_0), less norm(x_p) and position p's
+    # other rows: coefficients and rhs alike, repeated variables and
+    # all-+inf terms included
+    seen = {"repeated": 0, "all_inf": 0}
+    for delta, ins in blp_ladder():
+        blp = build_blp(delta, ins)
+        labels = len(delta.domain)
+        norm = {x: len(blp.rows) - len(ins.variables) + v for v, x in enumerate(ins.variables)}
+        expected, start = [], 0
+        for term in ins.terms:
+            first = range(start, start + labels)
+            for p, x in enumerate(term.args):
+                block = range(start + p * labels, start + (p + 1) * labels)
+                if p == 0:
+                    continue
+                combo = dict.fromkeys(first, 1)
+                combo[norm[term.args[0]]] = 1
+                combo[norm[x]] = combo.get(norm[x], 0) - 1
+                for i in block[:-1]:
+                    combo[i] = -1
+                for j in range(blp.n):
+                    total = sum(k * blp.rows[i][j] for i, k in combo.items())
+                    assert total == blp.rows[block[-1]][j]
+                assert sum(k * blp.rhs[i] for i, k in combo.items()) == blp.rhs[block[-1]]
+                expected.append(block[-1])
+                seen["repeated"] += x == term.args[0]
+            start += labels * len(term.args)
+            seen["all_inf"] += term.symbol == "e"
+        assert blp.implied == expected
+    assert min(seen.values()) >= 10
+
+
+def test_tableau_and_echelon_leave_implied_rows_out(monkeypatch):
+    # the tableau checks every row but holds at most the others, and the
+    # echelon gets only the others; the BLP's and AIP's values are those of
+    # the full system, and the refined AIP keeps the list
+    echelon_rows = []
+    affine_min = lattice.affine_min
+    monkeypatch.setattr(
+        lattice, "affine_min", lambda A, b, c: echelon_rows.append(len(A)) or affine_min(A, b, c)
+    )
+    refined_count = 0
+    for delta, ins in blp_ladder():
+        blp = build_blp(delta, ins)
+        warm = blp.warm
+        assert len(warm.scaled) == len(blp.rows)
+        assert len(warm.rows) <= len(blp.rows) - len(blp.implied)
+        full = exactlp.WarmLP(blp).minimise()
+        assert (full.status, full.value) == (blp.phase2.status, blp.phase2.value)
+        assert aip_value(blp) == affine_min(blp.rows, blp.rhs, blp.objective)
+        assert echelon_rows.pop() == len(blp.rows) - len(blp.implied)
+        if blp.phase2.status == exactlp.OPTIMAL:
+            refined = refine_aip(blp, select_star_point(blp, blp.phase2.value))
+            assert refined.implied == blp.implied
+            assert aip_value(refined) == affine_min(
+                refined.rows, refined.rhs, refined.objective
+            )
+            refined_count += 1
+    assert refined_count >= 15
 
 
 def test_build_blp_contradictory_units_infeasible():
