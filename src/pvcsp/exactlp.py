@@ -114,14 +114,14 @@ class WarmLP:
     every other row) starts basic; columns beyond n are phase-1
     artificials, one per row without one, dropped once phase 1 is over.
     `scaled` holds every input row, and `cols` indexes them by column (the
-    rhs at n) as the (row, coefficient) pairs of their nonzeros; the
-    tableau leaves out the `implied` input rows, each a combination of the
-    others, so a column is a unit column when it is one in the rows held.
-    Every basic solution is checked against all of `scaled`, the implied
-    rows included.  `feasible` is phase 1's verdict.
+    rhs at n) as the (row, coefficient) pairs of their nonzeros.  The
+    tableau holds the `held` input rows, all by default; the caller leaves
+    out only rows that are combinations of the others, and a column is a
+    unit column when it is one in the rows held.  Every basic solution is
+    checked against all of `scaled`.  `feasible` is phase 1's verdict.
     """
 
-    def __init__(self, lp: LinearProgram, implied: Iterable[int] = ()):
+    def __init__(self, lp: LinearProgram, held: Optional[Sequence[int]] = None):
         self.n = n = lp.n
         self.objective = lp.objective
         # each row scaled by the lcm of its denominators, with its sign
@@ -142,33 +142,31 @@ class WarmLP:
         for i, ints in enumerate(self.scaled):
             for j in compress(range(n + 1), ints):
                 self.cols[j].append((i, ints[j]))
-        held = self.scaled
+        kept = self.scaled
         columns: Iterable[list[tuple[int, int]]] = self.cols[:n]
-        if implied:
-            # the tableau holds the other rows, and a unit column is one
-            # in the rows it holds: at[i] is input row i's tableau row
-            skip = set(implied)
-            kept = [i for i in range(len(self.scaled)) if i not in skip]
-            held = [self.scaled[i] for i in kept]
+        if held is not None:
+            # a unit column is one in the rows the tableau holds: at[i] is
+            # input row i's tableau row
+            kept = [self.scaled[i] for i in held]
             at = [-1] * len(self.scaled)
-            for t, i in enumerate(kept):
+            for t, i in enumerate(held):
                 at[i] = t
             columns = (
                 [(at[i], a) for i, a in column if at[i] >= 0] for column in columns
             )
         # each row starts from its first unit column, or else an artificial
-        self.basis = [-1] * len(held)
+        self.basis = [-1] * len(kept)
         for j, column in enumerate(columns):
             if len(column) == 1 and column[0][1] == 1:
                 i = column[0][0]
                 if self.basis[i] < 0:
                     self.basis[i] = j
         arts = [i for i, b in enumerate(self.basis) if b < 0]
-        self.rows = [ints[:-1] + [0] * len(arts) + ints[-1:] for ints in held]
+        self.rows = [ints[:-1] + [0] * len(arts) + ints[-1:] for ints in kept]
         for t, i in enumerate(arts):
             self.rows[i][n + t] = 1
             self.basis[i] = n + t
-        self.den = [1] * len(held)
+        self.den = [1] * len(kept)
         self.width = n + len(arts)
         self.d = 1
         # the reduced-cost row of the current run, over red_den; see run
@@ -259,17 +257,11 @@ class WarmLP:
                 for k in compress(range(len(row)), row):
                     red[k] -= w * row[k]
         self.red, self.red_den = red, self.d
-        # with every column allowed, Dantzig's scan is one min over red less
-        # its last (rhs) entry
-        every = len(allowed) == self.width
         bland = False
         while True:
             red = self.red
             if bland:
                 enter = next((j for j in allowed if red[j] < 0), -1)
-            elif every:
-                least = min(red[:-1], default=0)
-                enter = red.index(least) if least < 0 else -1
             else:
                 enter = min(allowed, key=red.__getitem__, default=-1)
                 enter = enter if enter >= 0 and red[enter] < 0 else -1

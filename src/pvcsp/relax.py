@@ -49,8 +49,9 @@ class Relaxation(LinearProgram):
     an LP over Q and read over Z by the AIP.  Rows and rhs are ints;
     `columns` keys the n columns and `eliminated` the columns left out.
     `implied` lists the rows that are integer combinations of the others,
-    rhs included, so the tableau and the echelon leave them out.  The
-    cached phase 1, phase 2 and int objective live and die with it."""
+    rhs included, and `held` the others, the rows the tableau and the
+    echelon hold.  The cached phase 1, phase 2 and int objective live and
+    die with it."""
 
     columns: list[ColKey]
     eliminated: list[ColKey]
@@ -58,9 +59,15 @@ class Relaxation(LinearProgram):
 
     @functools.cached_property
     def warm(self) -> exactlp.WarmLP:
-        """The one phase 1 that blp_value and select_star_point share; the
-        tableau leaves out the implied rows, and its checks read them."""
-        return exactlp.WarmLP(self, self.implied)
+        """The one phase 1 that blp_value and select_star_point share; its
+        tableau holds the held rows only, and its checks read every row."""
+        return exactlp.WarmLP(self, self.held)
+
+    @functools.cached_property
+    def held(self) -> list[int]:
+        """The rows the tableau and the echelon hold: all but the implied."""
+        skip = set(self.implied)
+        return [i for i in range(len(self.rows)) if i not in skip]
 
     @functools.cached_property
     def phase2(self) -> exactlp.LPResult:
@@ -158,12 +165,12 @@ def blp_value(blp: Relaxation) -> ExtVal:
 
 def aip_value(aip: Relaxation) -> ExtVal:
     """min objective.x over the AIP's integer solutions, from one echelon
-    elimination under the objective row, of the rows not implied by the
-    others: no unimodular transform is built."""
-    skip = set(aip.implied)
-    rows = [row for i, row in enumerate(aip.rows) if i not in skip]
-    rhs = [b for i, b in enumerate(aip.rhs) if i not in skip]
-    return lattice.affine_min(rows, rhs, aip.objective)
+    elimination under the objective row, of the held rows: no unimodular
+    transform is built."""
+    held = aip.held
+    return lattice.affine_min(
+        [aip.rows[i] for i in held], [aip.rhs[i] for i in held], aip.objective
+    )
 
 
 FEASIBLE_INTERIOR = "feasible-interior"

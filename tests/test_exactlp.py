@@ -712,7 +712,7 @@ def bump_entry(tab):
     tab.scaled[k][j] += 1
     tab.cols[j] = [(i, a + (i == k)) for i, a in tab.cols[j]]
 for corrupt in (bump_rhs, bump_entry):
-    tab = exactlp.WarmLP(prog, prog.implied)
+    tab = exactlp.WarmLP(prog, prog.held)
     corrupt(tab)
     try:
         tab.witness(None)
