@@ -205,16 +205,13 @@ def cmd_compare(args) -> int:
         "flagged": flagged,
         "records": records,
     }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for r in records:
-            line = " ".join(
-                f"{k}={v}" for k, v in sorted(r["verdicts"].items())
-            )
-            print(f"[{r['index']:04d}] oracle={r['oracle']} {line} "
-                  f"{'ok' if r['agree'] else 'DISAGREE'}")
-        print(f"flagged disagreements: {flagged}/{args.count}")
+    lines = []
+    for r in records:
+        verdicts = " ".join(f"{k}={v}" for k, v in sorted(r["verdicts"].items()))
+        lines.append(f"[{r['index']:04d}] oracle={r['oracle']} {verdicts} "
+                     f"{'ok' if r['agree'] else 'DISAGREE'}")
+    lines.append(f"flagged disagreements: {flagged}/{args.count}")
+    _emit(args, report, "\n".join(lines))
     if flagged and not args.expect_weak:
         return EXIT_NO
     return EXIT_YES

@@ -1,28 +1,15 @@
 """Exact rational LP in standard equality form (min c.x, Ax = b, x >= 0).
 
-Two-phase simplex that prices by Dantzig's rule (the most negative reduced
-cost) and falls back to Bland's rule after a degenerate pivot, so it never
-cycles.  Input entries are ints or Fractions, exact either way; outputs are
-Fractions.  WarmLP is the tableau: it is built and taken through phase 1
-once, and phase 2 and the support rounds then run on it.  Rows known to be
-implied by the others (the BLP's, say) stay out of the tableau but are
-checked like the rest.  Phase 1 adds an artificial only to a row without a
-unit column (a slack of 1, say) among the rows the tableau holds.  The
-tableau is integer-preserving (Python ints over one denominator per row,
-fraction-free Bareiss pivots) and keeps its reduced-cost row up to date,
-so pricing is a scan of that row.  A pivot costs what the pivot row's
-nonzeros cost on a row already over the pivot's denominator (most rows of
-a 0/±1 program).  The tableau hands out a basic solution in one form,
-`WarmLP.witness`: the nonzero coordinates of the basic solution, or of the
-end of an improving ray from it, as ints over the tableau's denominator,
-checked against the scaled input rows through their column index.  Phase
-2's point and ray are read off it, and the optimum's value is summed from
-those checked ints and divided once.  Also provides the relative-interior
-machinery: a support profile (which coordinates can be positive over the
-feasible region or over its optimal face) and a relative interior point,
-the average, in ints, of the witnesses found by warm support rounds on the
-one tableau, handed out as ints over one denominator only; `divided` makes
-Fractions of them.
+A two-phase simplex on one integer-preserving tableau, WarmLP, that prices
+by Dantzig's rule and falls back to Bland's rule after a degenerate pivot,
+so it never cycles.  Input entries are ints or Fractions, exact either way;
+outputs are Fractions, or ints over one denominator where a caller does the
+rest of its arithmetic in ints.  A program names the rows a tableau holds
+(`LinearProgram.held`, all of them unless it knows some to be implied).
+Also provides the relative-interior machinery: a support profile (which
+coordinates can be positive over the feasible region or over its optimal
+face) and a relative interior point, both from warm support rounds on the
+one tableau; `divided` makes Fractions of ints over a denominator.
 """
 
 from __future__ import annotations
@@ -31,8 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -40,6 +26,7 @@ from .errors import (
     InvariantViolated,
     UnboundedObjective,
 )
+from .values import int_scaled
 
 ZERO = Fraction(0)
 
@@ -62,6 +49,12 @@ class LinearProgram:
         for row in self.rows:
             if len(row) != self.n:
                 raise DimensionMismatch("row length != n")
+
+    @property
+    def held(self) -> Sequence[int]:
+        """The rows a tableau holds: every row.  A program that knows some
+        rows to be combinations of the others leaves them out here."""
+        return range(len(self.rows))
 
 
 INFEASIBLE = "infeasible"
@@ -98,8 +91,15 @@ def _eliminate(
 class WarmLP:
     """An integer-preserving simplex tableau with an explicit basis, built
     and taken through phase 1 once; phase 2 and the support rounds then run
-    on it, each from the basis the previous step left.  It keeps n and the
-    program's objective list, not the program.
+    on it, each from the basis the previous step left.  It keeps n, the
+    input row count m and the program's objective list, not the program.
+
+    Each input row is scaled to ints once (values.int_scaled), with the
+    sign that makes its rhs >= 0, and `cols` indexes the nonzeros of every
+    input row by column (the rhs at n) as (row, coefficient) pairs.  Every
+    basic solution is checked against all m rows through `cols`.  The
+    tableau holds the rows `lp.held` names, in that order; the others are
+    combinations of them and live on in `cols` only.
 
     Row i of `rows` holds the constraint coefficients and then the rhs, all
     Python ints; the true row is rows[i] / den[i].  `d` > 0 is the absolute
@@ -110,63 +110,50 @@ class WarmLP:
     divisions; one already over the pivot's denominator changes only where
     the pivot row is nonzero (_eliminate).  A row with a zero there is
     unchanged as a rational row, so it keeps the denominator it had instead
-    of being rescaled.  A row's unit column (1 in it once scaled, 0 in
-    every other row) starts basic; columns beyond n are phase-1
-    artificials, one per row without one, dropped once phase 1 is over.
-    `scaled` holds every input row, and `cols` indexes them by column (the
-    rhs at n) as the (row, coefficient) pairs of their nonzeros.  The
-    tableau holds the `held` input rows, all by default; the caller leaves
-    out only rows that are combinations of the others, and a column is a
-    unit column when it is one in the rows held.  Every basic solution is
-    checked against all of `scaled`.  `feasible` is phase 1's verdict.
+    of being rescaled.  A held row's unit column (1 in it once scaled, 0 in
+    every other held row) starts basic; columns beyond n are phase-1
+    artificials, one per held row without one, dropped once phase 1 is
+    over.  `feasible` is phase 1's verdict.
     """
 
-    def __init__(self, lp: LinearProgram, held: Optional[Sequence[int]] = None):
+    def __init__(self, lp: LinearProgram):
         self.n = n = lp.n
+        self.m = len(lp.rows)
         self.objective = lp.objective
-        # each row scaled by the lcm of its denominators, with its sign
-        # chosen so that rhs >= 0
-        self.scaled: list[list[int]] = []
-        for row, b in zip(lp.rows, lp.rhs):
-            s = math.lcm(b.denominator, *map(attrgetter("denominator"), row))
-            if s == 1 and b >= 0:  # an int row: its numerators, as ints
-                ints = list(map(attrgetter("numerator"), row))
-                ints.append(b.numerator)
-            else:
-                if b < 0:
-                    s = -s
-                ints = [a.numerator * (s // a.denominator) for a in row]
-                ints.append(b.numerator * (s // b.denominator))
-            self.scaled.append(ints)
+        scaled = []
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for i, ints in enumerate(self.scaled):
+        for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+            ints, _ = int_scaled([*row, b])
+            if b < 0:
+                ints = [-a for a in ints]
             for j in compress(range(n + 1), ints):
                 self.cols[j].append((i, ints[j]))
-        kept = self.scaled
-        columns: Iterable[list[tuple[int, int]]] = self.cols[:n]
-        if held is not None:
-            # a unit column is one in the rows the tableau holds: at[i] is
-            # input row i's tableau row
-            kept = [self.scaled[i] for i in held]
-            at = [-1] * len(self.scaled)
-            for t, i in enumerate(held):
-                at[i] = t
-            columns = (
-                [(at[i], a) for i, a in column if at[i] >= 0] for column in columns
-            )
-        # each row starts from its first unit column, or else an artificial
-        self.basis = [-1] * len(kept)
-        for j, column in enumerate(columns):
-            if len(column) == 1 and column[0][1] == 1:
-                i = column[0][0]
-                if self.basis[i] < 0:
-                    self.basis[i] = j
-        arts = [i for i, b in enumerate(self.basis) if b < 0]
-        self.rows = [ints[:-1] + [0] * len(arts) + ints[-1:] for ints in kept]
-        for t, i in enumerate(arts):
-            self.rows[i][n + t] = 1
-            self.basis[i] = n + t
-        self.den = [1] * len(kept)
+            scaled.append(ints)
+        held = lp.held
+        self.rows = [scaled[i] for i in held]
+        at = [-1] * self.m  # at[i] is input row i's tableau row, if held
+        for t, i in enumerate(held):
+            at[i] = t
+        # each held row starts from its first unit column, or else an
+        # artificial; a column with more entries than the rows left out
+        # plus one has two or more in the held rows
+        most = self.m - len(self.rows) + 1
+        self.basis = [-1] * len(self.rows)
+        for j, column in enumerate(self.cols[:n]):
+            if len(column) <= most:
+                column = [(at[i], a) for i, a in column if at[i] >= 0]
+                if len(column) == 1 and column[0][1] == 1:
+                    t = column[0][0]
+                    if self.basis[t] < 0:
+                        self.basis[t] = j
+        arts = [t for t, b in enumerate(self.basis) if b < 0]
+        if arts:
+            for ints in self.rows:
+                ints[n:n] = [0] * len(arts)
+            for k, t in enumerate(arts):
+                self.rows[t][n + k] = 1
+                self.basis[t] = n + k
+        self.den = [1] * len(self.rows)
         self.width = n + len(arts)
         self.d = 1
         # the reduced-cost row of the current run, over red_den; see run
@@ -247,11 +234,10 @@ class WarmLP:
         ends; each nondegenerate pivot strictly lowers the objective, so no
         basis from before it comes back, and the run ends.
         """
-        lcm = math.lcm(*(c.denominator for c in cost))
-        scaled = [c.numerator * (lcm // c.denominator) for c in cost]
-        red = [self.d * c for c in scaled] + [0]
+        costs, _ = int_scaled(cost)
+        red = [self.d * c for c in costs] + [0]
         for row, b, e in zip(self.rows, self.basis, self.den):
-            w = scaled[b]
+            w = costs[b]
             if w:
                 row = self._at_d(row, e)
                 for k in compress(range(len(row)), row):
@@ -299,7 +285,7 @@ class WarmLP:
     def _check_rows(self, j: int) -> list[tuple[int, int]]:
         """(column, entry over d) for the nonzero basic entries of the rhs
         (j = -1) or of column j; InvariantViolated unless they satisfy every
-        scaled input row, in ints: the safety net for the exact divisions.
+        input row, in ints: the safety net for the exact divisions.
         Each row's total sums over the basic columns' entries in `cols`."""
         d, n = self.d, self.n
         basic = [
@@ -307,7 +293,7 @@ class WarmLP:
             for row, b, e in zip(self.rows, self.basis, self.den)
             if b < n and row[j]
         ]
-        totals = [0] * len(self.scaled)
+        totals = [0] * self.m
         for b, v in basic:
             for i, a in self.cols[b]:
                 totals[i] += a * v
@@ -334,12 +320,8 @@ class WarmLP:
             end = self.witness(enter)  # the ray's end from the point, over d
             ray = divided([end.get(j, 0) - basic.get(j, 0) for j in range(n)], d)
             return LPResult(UNBOUNDED, point=point, ray=ray)
-        costs = [objective[b] for b in basic]
-        lcm = math.lcm(*(c.denominator for c in costs))
-        total = sum(
-            c.numerator * (lcm // c.denominator) * v
-            for c, v in zip(costs, basic.values())
-        )
+        costs, lcm = int_scaled([objective[b] for b in basic])
+        total = sum(c * v for c, v in zip(costs, basic.values()))
         value = Fraction(total, lcm * d)
         return LPResult(OPTIMAL, value=value, point=point, witness=(d, basic))
 

@@ -9,14 +9,13 @@ row gives a program value without U.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolated
-from .values import MINUS_INF, PLUS_INF, ExtVal
+from .values import MINUS_INF, PLUS_INF, ExtVal, int_scaled
 
 IntMatrix = list[list[int]]
 
@@ -214,8 +213,8 @@ def affine_min(A: IntMatrix, b: Sequence[int], c: Sequence[Fraction]) -> ExtVal:
     vector, on which c vanishes whenever the value is finite."""
     m = len(A)
     _width(A, b, len(c))
-    den = math.lcm(*(ci.denominator for ci in c))
-    tail = [{m: ci.numerator * (den // ci.denominator)} if ci else {} for ci in c]
+    ints, den = int_scaled(c)
+    tail = [{m: a} if a else {} for a in ints]
     cols, pivots = _echelon(A, tail)
     acc = _substitute(cols, pivots, b, 1)
     if acc is None:
@@ -236,10 +235,8 @@ def evaluate_affine_min(
         return PLUS_INF
     if len(c) != lattice.dimension:
         raise DimensionMismatch("objective length != lattice dimension")
-    den = math.lcm(*(ci.denominator for ci in c))
-    terms = [
-        (i, ci.numerator * (den // ci.denominator)) for i, ci in enumerate(c) if ci
-    ]
+    ints, den = int_scaled(c)
+    terms = [(i, a) for i, a in enumerate(ints) if a]
     for v in lattice.kernel_basis:
         if sum(ci * v[i] for i, ci in terms) != 0:
             return MINUS_INF

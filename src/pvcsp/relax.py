@@ -35,7 +35,7 @@ from . import exactlp, lattice
 from .core import NO, YES, Instance, ValuedStructure, check_instance
 from .errors import IndexMisalignment, InvariantViolated, PreconditionViolated
 from .exactlp import LinearProgram
-from .values import PLUS_INF, ExtVal, format_value, is_finite
+from .values import PLUS_INF, ExtVal, format_value, int_scaled, is_finite
 
 ZERO = Fraction(0)
 
@@ -61,11 +61,11 @@ class Relaxation(LinearProgram):
     def warm(self) -> exactlp.WarmLP:
         """The one phase 1 that blp_value and select_star_point share; its
         tableau holds the held rows only, and its checks read every row."""
-        return exactlp.WarmLP(self, self.held)
+        return exactlp.WarmLP(self)
 
     @functools.cached_property
     def held(self) -> list[int]:
-        """The rows the tableau and the echelon hold: all but the implied."""
+        """The rows a tableau and the echelon hold: all but the implied."""
         skip = set(self.implied)
         return [i for i in range(len(self.rows)) if i not in skip]
 
@@ -79,11 +79,9 @@ class Relaxation(LinearProgram):
     def int_objective(self) -> tuple[list[tuple[int, int]], int]:
         """The objective over the lcm L of its denominators: the nonzero
         (column, L times coefficient) pairs, and L."""
-        nonzero = list(filter(None, self.objective))
-        lcm = math.lcm(*map(operator.attrgetter("denominator"), nonzero))
+        ints, lcm = int_scaled(list(filter(None, self.objective)))
         columns = itertools.compress(range(self.n), self.objective)
-        terms = [(j, c.numerator * (lcm // c.denominator)) for j, c in zip(columns, nonzero)]
-        return terms, lcm
+        return list(zip(columns, ints)), lcm
 
 
 def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
@@ -312,7 +310,7 @@ def combined_solve(delta: ValuedStructure, instance: Instance) -> SolveAnswer:
     value = blp_value(blp)
     star = select_star_point(blp, u) if value <= u else None
     if star is None:
-        return SolveAnswer(NO, value, program_size=size)
+        return SolveAnswer(NO, value, eliminated=blp.eliminated, program_size=size)
     refined = refine_aip(blp, star)
     aff = aip_value(refined)
     verdict = YES if aff <= u else NO

@@ -37,7 +37,7 @@ from .core import (
     tuple_to_multiset,
 )
 from .errors import DomainMismatch, PreconditionViolated, ResourceGuard
-from .values import PLUS_INF, ExtRat
+from .values import PLUS_INF, ExtRat, int_scaled
 
 NONE_EXISTS = "none-exists"
 
@@ -488,12 +488,12 @@ def _search(
     rows, rhs = [[1] * n + [0] * k], [1]
     for j, (entries, total) in enumerate(zip(zip(*reps), sums.values())):
         bound = total / m
-        used = {c: costs[c] for c in set(entries)}
-        s = math.lcm(bound.denominator, *(x.denominator for x in used.values()))
-        scaled = {c: x.numerator * (s // x.denominator) for c, x in used.items()}
+        used = set(entries)
+        ints, _ = int_scaled([*(costs[c] for c in used), bound])
+        scaled = dict(zip(used, ints))
         rows.append([scaled[c] for c in entries] + [0] * k)
         rows[-1][n + j] = 1
-        rhs.append(bound.numerator * (s // bound.denominator))
+        rhs.append(ints[-1])
     lp = exactlp.LinearProgram(n + k, rows, rhs, [0] * (n + k))
     res = exactlp.solve_lp(lp)
     if res.status != exactlp.OPTIMAL:

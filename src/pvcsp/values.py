@@ -6,9 +6,11 @@ compare and add the way cost arithmetic needs them to.  No floats anywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Union
+from operator import attrgetter
+from typing import Sequence, Union
 
 
 class _PlusInf:
@@ -90,6 +92,16 @@ ExtVal = Union[Fraction, _PlusInf, _MinusInf]
 
 def is_finite(v: ExtVal) -> bool:
     return isinstance(v, Fraction)
+
+
+def int_scaled(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """The values over the lcm of their denominators: (ints, lcm), with
+    ints[i] = values[i] * lcm.  The one place that rule lives; ints (lcm 1)
+    come back as their numerators, the ints themselves."""
+    lcm = math.lcm(*map(attrgetter("denominator"), values))
+    if lcm == 1:
+        return list(map(attrgetter("numerator"), values)), 1
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
 _RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")

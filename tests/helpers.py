@@ -482,7 +482,7 @@ def fraction_star_point(lp, u=None):
     interior point's cost, the star values, the provenance and the branch
     taken ("interior", "mix" or "face"); all but the value are None when
     the value exceeds u, and all five when the region is empty."""
-    warm = exactlp.WarmLP(lp, lp.held)
+    warm = exactlp.WarmLP(lp)
     res = warm.minimise()
     if res.status != exactlp.OPTIMAL:
         return None, None, None, None, None

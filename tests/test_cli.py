@@ -115,6 +115,22 @@ def test_solve_blp_json_reports_eliminated_columns(files, capsys):
     assert (payload["columns"], payload["rows"], payload["eliminated"]) == (6, 6, 2)
 
 
+def test_solve_json_gate_reports_eliminated_columns(files, capsys):
+    # at threshold -1 combined stops at its BLP gate (value 0), and still
+    # counts neq's two +inf tuples, as blp does
+    tmp, s, _, _ = files
+    gate = tmp / "gate.pvcsp"
+    gate.write_text(SAT_INSTANCE.replace("threshold 0", "threshold -1"))
+    payloads = {}
+    for algorithm in ("combined", "blp"):
+        argv = ["solve", "--structure", s, "--instance", str(gate), "--json"]
+        assert main(argv + ["--algorithm", algorithm]) == EXIT_NO
+        payloads[algorithm] = json.loads(capsys.readouterr().out)
+    combined, blp = payloads["combined"], payloads["blp"]
+    assert combined["blp_value"] == "0" and combined["star"] is None
+    assert combined["eliminated"] == blp["eliminated"] == 2
+
+
 def test_solve_missing_file_is_error(files, capsys):
     _, s, _, _ = files
     assert main(["solve", "--structure", s, "--instance", "/nope"]) == EXIT_ERROR

@@ -146,6 +146,28 @@ def test_exact_kernels_have_no_true_division_or_float():
     assert found == []
 
 
+def _reads_denominator(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "denominator") or (
+        isinstance(node, ast.Constant) and node.value == "denominator"
+    )
+
+
+def test_denominators_are_scaled_only_by_int_scaled():
+    # "ints over the lcm of the denominators" lives in values.int_scaled;
+    # no other module takes an lcm of denominators, by attribute or by
+    # attrgetter("denominator")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "pvcsp").glob("*.py"))
+        if path.name != "values.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lcm"
+        and any(_reads_denominator(sub) for arg in node.args for sub in ast.walk(arg))
+    ]
+    assert found == []
+
+
 def test_no_unused_imports_in_package():
     # every name a module imports is read in it; __init__.py only re-exports
     found = []

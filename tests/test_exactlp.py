@@ -612,7 +612,8 @@ def test_int_rows_are_read_as_ints(monkeypatch):
         with monkeypatch.context() as m:  # the tableau before phase 1
             m.setattr(WarmLP, "_phase1", lambda tab: None)
             tab = WarmLP(prog)
-        assert all(type(a) is int for ints in tab.scaled + tab.rows for a in ints)
+        assert all(type(a) is int for column in tab.cols for _, a in column)
+        assert all(type(a) is int for ints in tab.rows for a in ints)
         vertices = enumerate_vertices(prog)
         if not vertices:
             continue
@@ -621,14 +622,15 @@ def test_int_rows_are_read_as_ints(monkeypatch):
         assert_warm_matches_vertices(prog, vertices)
         warm = WarmLP(prog)
         warm.face_interior_ints()
-        assert all(type(a) is int for ints in warm.scaled + warm.rows for a in ints)
+        assert all(type(a) is int for column in warm.cols for _, a in column)
+        assert all(type(a) is int for ints in warm.rows for a in ints)
     assert checked >= 25 and negative >= 10
 
 
 def test_column_indexed_check_under_optimise_flag():
-    # the BLP of one xor1 term over x, y, on a tableau of all its rows:
-    # phase 1 deletes a normalisation row as redundant, and the check still
-    # reads that row's scaled input;
+    # the BLP of one xor1 term over x, y, as a plain LinearProgram, whose
+    # tableau holds all its rows: phase 1 deletes a normalisation row as
+    # redundant, and the check still reads that row through the column index;
     # every corruption of a basic rhs entry, of the entries of a ray
     # column, or of that row's rhs must not reach a caller
     script = """
@@ -649,7 +651,8 @@ def recording_phase1(tab):
     return phase1(tab)
 exactlp.WarmLP._phase1 = recording_phase1
 instance = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
-prog = relax.build_blp(generators.xor_structure(), instance)
+blp = relax.build_blp(generators.xor_structure(), instance)
+prog = exactlp.LinearProgram(blp.n, blp.rows, blp.rhs, blp.objective)
 tab = exactlp.WarmLP(prog)
 print("deleted:", deleted, "basis:", tab.basis)
 ray = min(set(range(prog.n)) - set(tab.basis))
@@ -668,7 +671,6 @@ def bump(i, j):
     return corrupt
 def bump_deleted_rhs(tab):
     k = deleted[-1]
-    tab.scaled[k][-1] += 1
     tab.cols[-1] = [(i, a + (i == k)) for i, a in tab.cols[-1]]
 for i in range(len(tab.rows)):
     caught(bump(i, -1), lambda tab: tab.witness(None))
@@ -689,7 +691,7 @@ caught(bump_deleted_rhs, lambda tab: tab.witness(None))
 def test_implied_row_checked_under_optimise_flag():
     # the same BLP's own tableau leaves out its implied row, the last
     # marginal row of y, and phase 1 deletes nothing; a corrupted rhs of
-    # that row in the scaled input, or its entry at a basic column, must
+    # that row in the column index, or its entry at a basic column, must
     # still not reach a caller
     script = """
 from fractions import Fraction as F
@@ -702,17 +704,15 @@ instance = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
 prog = relax.build_blp(generators.xor_structure(), instance)
 tab = prog.warm
 (k,) = prog.implied
-print("implied:", k, "held:", len(tab.rows), "of", len(tab.scaled))
+print("implied:", k, "held:", len(tab.rows), "of", tab.m)
 # a basic column with a nonzero in the implied row, read from its index
 j = next(j for j in tab.witness(None) if any(i == k for i, _ in tab.cols[j]))
 def bump_rhs(tab):
-    tab.scaled[k][-1] += 1
     tab.cols[-1] = sorted(tab.cols[-1] + [(k, 1)])
 def bump_entry(tab):
-    tab.scaled[k][j] += 1
     tab.cols[j] = [(i, a + (i == k)) for i, a in tab.cols[j]]
 for corrupt in (bump_rhs, bump_entry):
-    tab = exactlp.WarmLP(prog, prog.held)
+    tab = exactlp.WarmLP(prog)
     corrupt(tab)
     try:
         tab.witness(None)

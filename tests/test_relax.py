@@ -145,9 +145,11 @@ def test_tableau_and_echelon_leave_implied_rows_out(monkeypatch):
     for delta, ins in blp_ladder():
         blp = build_blp(delta, ins)
         warm = blp.warm
-        assert len(warm.scaled) == len(blp.rows)
+        assert warm.m == len(blp.rows)
         assert len(warm.rows) <= len(blp.rows) - len(blp.implied)
-        full = exactlp.WarmLP(blp).minimise()
+        full = exactlp.WarmLP(
+            exactlp.LinearProgram(blp.n, blp.rows, blp.rhs, blp.objective)
+        ).minimise()
         assert (full.status, full.value) == (blp.phase2.status, blp.phase2.value)
         assert aip_value(blp) == affine_min(blp.rows, blp.rhs, blp.objective)
         assert echelon_rows.pop() == len(blp.rows) - len(blp.implied)
@@ -572,6 +574,18 @@ def test_aip_engine_reports_eliminated_tuples():
     answer = ENGINES["aip"](XOR, ins)
     assert answer.eliminated == [("lam", 0, ("0", "0")), ("lam", 0, ("1", "1"))]
     assert "eliminated columns: 2" in answer.trace().splitlines()
+
+
+def test_combined_gate_reports_eliminated_tuples():
+    # stopped at its BLP gate (value 0 above u = -1), the combined engine
+    # still reports the +inf tuples it left out, as the BLP engine does
+    ins = inst(["x", "y"], [("xor1", ["x", "y"])], -1)
+    combined, blp = ENGINES["combined"](XOR, ins), ENGINES["blp"](XOR, ins)
+    assert combined.verdict == blp.verdict == NO
+    assert combined.blp_value == 0 and combined.star_provenance is None
+    assert combined.eliminated == blp.eliminated
+    assert combined.eliminated == [("lam", 0, ("0", "0")), ("lam", 0, ("1", "1"))]
+    assert "eliminated columns: 2" in combined.trace().splitlines()
 
 
 def test_combined_solve_trace_mentions_verdict():

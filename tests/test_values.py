@@ -8,6 +8,7 @@ from pvcsp.values import (
     MINUS_INF,
     PLUS_INF,
     format_value,
+    int_scaled,
     parse_rational,
     parse_value,
 )
@@ -32,6 +33,32 @@ def test_scaling_inf_by_positive_weight():
     assert Fraction(1, 3) * PLUS_INF is PLUS_INF
     with pytest.raises(ArithmeticError):
         Fraction(0) * PLUS_INF
+
+
+def test_int_scaled_keeps_ints_over_one():
+    ints, lcm = int_scaled([3, 0, -7, 10**30])
+    assert (ints, lcm) == ([3, 0, -7, 10**30], 1)
+    assert all(type(a) is int for a in ints)
+    # Fractions that are integers come back as Python ints too
+    ints, lcm = int_scaled([Fraction(4), Fraction(-2, 1)])
+    assert (ints, lcm) == ([4, -2], 1) and all(type(a) is int for a in ints)
+
+
+def test_int_scaled_mixed_denominators():
+    ints, lcm = int_scaled([Fraction(1, 4), Fraction(5, 6), 2, Fraction(7, 9)])
+    assert (ints, lcm) == ([9, 30, 72, 28], 36)
+    assert all(type(a) is int for a in ints)
+
+
+def test_int_scaled_negatives_and_zeros():
+    values = [Fraction(-3, 10), 0, Fraction(0), Fraction(-1, 4), -5]
+    ints, lcm = int_scaled(values)
+    assert (ints, lcm) == ([-6, 0, 0, -5, -100], 20)
+    assert [Fraction(a, lcm) for a in ints] == values
+
+
+def test_int_scaled_empty():
+    assert int_scaled([]) == ([], 1)
 
 
 def test_parse_print_basics():
