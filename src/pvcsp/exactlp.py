@@ -2,10 +2,12 @@
 
 A two-phase simplex on one integer-preserving tableau, WarmLP, that prices
 by Dantzig's rule and falls back to Bland's rule after a degenerate pivot,
-so it never cycles.  Input entries are ints or Fractions, exact either way;
-outputs are Fractions, or ints over one denominator where a caller does the
-rest of its arithmetic in ints.  A program names the rows a tableau holds
-(`LinearProgram.held`, all of them unless it knows some to be implied).
+so it never cycles.  A program's rows are its one row format: each row is
+its nonzero int entries by column, with an int rhs; the objective may hold
+Fractions.  Outputs are Fractions, or ints over one denominator where a
+caller does the rest of its arithmetic in ints.  A program names the rows a
+tableau holds (`LinearProgram.held`, all of them unless it knows some to be
+implied).
 Also provides the relative-interior machinery: a support profile (which
 coordinates can be positive over the feasible region or over its optimal
 face) and a relative interior point, both from warm support rounds on the
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -34,21 +36,39 @@ ZERO = Fraction(0)
 Rational = Union[int, Fraction]
 
 
+# a row: its nonzero int entries by column
+Row = dict[int, int]
+
+
+def sparse_row(ints: Sequence[int]) -> Row:
+    """The Row of a dense list of ints."""
+    return dict(zip(compress(range(len(ints)), ints), filter(None, ints)))
+
+
 @dataclass
 class LinearProgram:
+    """min objective . x subject to rows . x = rhs and x >= 0."""
+
     n: int
-    rows: list[list[Rational]]  # int or Fraction entries
-    rhs: list[Rational]
+    rows: list[Row]
+    rhs: list[int]
     objective: list[Rational]
 
     def __post_init__(self):
+        """The one check of the row format, in C-speed passes over all the
+        rows: every key a column, every entry a nonzero int, every rhs an
+        int."""
         if len(self.objective) != self.n:
             raise DimensionMismatch("objective length != n")
         if len(self.rows) != len(self.rhs):
             raise DimensionMismatch("row count != rhs count")
-        for row in self.rows:
-            if len(row) != self.n:
-                raise DimensionMismatch("row length != n")
+        keys = set().union(*self.rows)
+        if keys and (min(keys) < 0 or max(keys) >= self.n):
+            raise DimensionMismatch("row key outside range(n)")
+        values = [*chain.from_iterable(map(dict.values, self.rows))]
+        types = set(map(type, values)).union(map(type, self.rhs))
+        if types - {int} or 0 in values:
+            raise ValueError("row entries must be nonzero ints, rhs ints")
 
     @property
     def held(self) -> Sequence[int]:
@@ -94,43 +114,46 @@ class WarmLP:
     on it, each from the basis the previous step left.  It keeps n, the
     input row count m and the program's objective list, not the program.
 
-    Each input row is scaled to ints once (values.int_scaled), with the
-    sign that makes its rhs >= 0, and `cols` indexes the nonzeros of every
-    input row by column (the rhs at n) as (row, coefficient) pairs.  Every
-    basic solution is checked against all m rows through `cols`.  The
-    tableau holds the rows `lp.held` names, in that order; the others are
-    combinations of them and live on in `cols` only.
+    Each input row is taken with the sign that makes its rhs >= 0, and
+    `cols` indexes the nonzeros of every input row by column (the rhs at n)
+    as (row, coefficient) pairs.  Every basic solution is checked against
+    all m rows through `cols`.  The tableau holds the rows `lp.held` names,
+    in that order, written out densely; the others are combinations of them
+    and live on in `cols` only.
 
     Row i of `rows` holds the constraint coefficients and then the rhs, all
     Python ints; the true row is rows[i] / den[i].  `d` > 0 is the absolute
-    determinant of the basis in the row-scaled program, and a row carried
-    over denominator d is d times its true row, in ints (Cramer's rule).  A
-    pivot is a Bareiss update (Edmonds 1967; Bareiss 1968): each row with a
-    nonzero entry in the pivot column moves to the new d, by exact
-    divisions; one already over the pivot's denominator changes only where
-    the pivot row is nonzero (_eliminate).  A row with a zero there is
-    unchanged as a rational row, so it keeps the denominator it had instead
-    of being rescaled.  A held row's unit column (1 in it once scaled, 0 in
-    every other held row) starts basic; columns beyond n are phase-1
-    artificials, one per held row without one, dropped once phase 1 is
-    over.  `feasible` is phase 1's verdict.
+    determinant of the basis, and a row carried over denominator d is d
+    times its true row, in ints (Cramer's rule).  A pivot is a Bareiss
+    update (Edmonds 1967; Bareiss 1968): each row with a nonzero entry in
+    the pivot column moves to the new d, by exact divisions; one already
+    over the pivot's denominator changes only where the pivot row is
+    nonzero (_eliminate).  A row with a zero there is unchanged as a
+    rational row, so it keeps the denominator it had instead of being
+    rescaled.  A held row's unit column (1 in it, signed, 0 in every other
+    held row) starts basic; columns beyond n are phase-1 artificials, one
+    per held row without one, dropped once phase 1 is over.  `feasible` is
+    phase 1's verdict.
     """
 
     def __init__(self, lp: LinearProgram):
         self.n = n = lp.n
         self.m = len(lp.rows)
         self.objective = lp.objective
-        scaled = []
+        dense = []
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-            ints, _ = int_scaled([*row, b])
             if b < 0:
-                ints = [-a for a in ints]
-            for j in compress(range(n + 1), ints):
-                self.cols[j].append((i, ints[j]))
-            scaled.append(ints)
+                row, b = {j: -a for j, a in row.items()}, -b
+            ints = [0] * n + [b]
+            for j, a in row.items():
+                ints[j] = a
+                self.cols[j].append((i, a))
+            if b:
+                self.cols[n].append((i, b))
+            dense.append(ints)
         held = lp.held
-        self.rows = [scaled[i] for i in held]
+        self.rows = [dense[i] for i in held]
         at = [-1] * self.m  # at[i] is input row i's tableau row, if held
         for t, i in enumerate(held):
             at[i] = t
@@ -410,9 +433,8 @@ def relative_interior_point_with_flags(
 
 
 def restrict_to_optimal_face(lp: LinearProgram) -> LinearProgram:
-    """Append the equality objective = optimal value; the rows are lp's own,
-    shared and not copied."""
-    value = WarmLP(lp).optimum().value
-    return LinearProgram(
-        lp.n, lp.rows + [lp.objective], lp.rhs + [value], lp.objective
-    )
+    """Append the equality objective = optimal value, scaled to ints; the
+    rows are lp's own, shared and not copied."""
+    *ints, b = int_scaled([*lp.objective, WarmLP(lp).optimum().value])[0]
+    rows = lp.rows + [sparse_row(ints)]
+    return LinearProgram(lp.n, rows, lp.rhs + [b], lp.objective)

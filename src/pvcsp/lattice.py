@@ -4,17 +4,20 @@ systems, and exact evaluation of affine integer program values.
 A linear objective over an affine integer lattice is either constant or
 unbounded below, so a program value is always one of {+inf, finite, -inf}.
 One elimination carries a tail under A: the identity gives U, the objective
-row gives a program value without U.
+row gives a program value without U.  It reads A by its rows' nonzeros, the
+row format of exactlp.LinearProgram: `affine_min` takes such a program, and
+the dense entry points (hermite_normal_form, solve_integer_system) convert
+their matrix to it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch, InvariantViolated
+from .exactlp import LinearProgram, Row, sparse_row
 from .values import MINUS_INF, PLUS_INF, ExtVal, int_scaled
 
 IntMatrix = list[list[int]]
@@ -61,10 +64,10 @@ def _addmul(
 
 
 def _echelon(
-    A: IntMatrix, tail: Optional[list[Column]] = None
+    A: list[Row], tail: list[Column]
 ) -> tuple[list[Column], list[tuple[int, int]]]:
-    """Column echelon form of A with a tail T: tail[j] is column j's
-    entries from row m on, the identity by default.
+    """Column echelon form of A, given by its rows' nonzeros, with a tail
+    T: tail[j] is column j's entries from row m on.
 
     Returns the columns of [H; T U], A*U = H, U unimodular, each a dict
     over the nonzero rows, and the pivots (row, column) in order: pivot k
@@ -81,16 +84,13 @@ def _echelon(
     pos) stands in for swapping them, and they are returned in position
     order.
     """
-    m = len(A)
-    if tail is None:
-        tail = [{m + j: 1} for j in range(len(A[0]) if m else 0)]
-    n = len(tail)
+    m, n = len(A), len(tail)
     cols: list[Column] = [dict(t) for t in tail]
     where: list[set[int]] = []
     for r, row in enumerate(A):
-        where.append(set(compress(range(n), row)))
-        for j in where[r]:
-            cols[j][r] = row[j]
+        where.append(set(row))
+        for j, a in row.items():
+            cols[j][r] = a
     order = list(range(n))
     pos = list(range(n))
     pivots: list[tuple[int, int]] = []
@@ -121,13 +121,19 @@ def _echelon(
     return [cols[j] for j in order], pivots
 
 
+def _unimodular(A: IntMatrix, n: int) -> tuple[list[Column], list[tuple[int, int]]]:
+    """_echelon of the dense n-column A under the identity: [H; U]."""
+    rows = list(map(sparse_row, A))
+    return _echelon(rows, [{len(A) + j: 1} for j in range(n)])
+
+
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column HNF: returns (H, U) with A*U = H, U unimodular, H in
     lower-triangular profile with positive pivots and reduced off-profile
     entries: the echelon form, then one reduction pass down the pivots."""
     m = len(A)
     n = len(A[0]) if m else 0
-    cols, pivots = _echelon(A)
+    cols, pivots = _unimodular(A, n)
     for r, c in pivots:
         p = cols[c][r]
         for k in range(c):
@@ -195,8 +201,7 @@ def solve_integer_system(
     """
     n = _width(A, b, ncols)
     m = len(A)
-    # with no rows there is nothing to eliminate: [H; U] is the identity
-    cols, pivots = _echelon(A) if m else ([{j: 1} for j in range(n)], [])
+    cols, pivots = _unimodular(A, n)
     x0 = _substitute(cols, pivots, b, n)
     if x0 is None:
         return INFEASIBLE
@@ -204,19 +209,20 @@ def solve_integer_system(
     return AffineLattice(x0, basis, n)
 
 
-def affine_min(A: IntMatrix, b: Sequence[int], c: Sequence[Fraction]) -> ExtVal:
-    """evaluate_affine_min(c, solve_integer_system(A, b, len(c))) without U.
+def affine_min(lp: LinearProgram) -> ExtVal:
+    """min objective.x over the integer solutions of the program's held
+    rows: evaluate_affine_min of solve_integer_system's lattice, without U.
 
-    The tail is c scaled to ints, so _echelon gives [H; c U]: substitution
-    yields c.x0, and a kernel column's tail entry is c on a kernel vector.
-    Any U gives the same value: particular solutions differ by a kernel
-    vector, on which c vanishes whenever the value is finite."""
-    m = len(A)
-    _width(A, b, len(c))
-    ints, den = int_scaled(c)
+    The tail is the objective c scaled to ints, so _echelon gives [H; c U]:
+    substitution yields c.x0, and a kernel column's tail entry is c on a
+    kernel vector.  Any U gives the same value: particular solutions differ
+    by a kernel vector, on which c vanishes whenever the value is finite."""
+    held = lp.held
+    m = len(held)
+    ints, den = int_scaled(lp.objective)
     tail = [{m: a} if a else {} for a in ints]
-    cols, pivots = _echelon(A, tail)
-    acc = _substitute(cols, pivots, b, 1)
+    cols, pivots = _echelon([lp.rows[i] for i in held], tail)
+    acc = _substitute(cols, pivots, [lp.rhs[i] for i in held], 1)
     if acc is None:
         return PLUS_INF
     # _substitute checked that kernel columns hold tail entries only

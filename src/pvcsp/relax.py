@@ -3,12 +3,12 @@ refinement, and the combined, BLP-only and AIP-only decision procedures
 (ENGINES, shared by the library and the CLI).
 
 The AIP is the BLP's own system read over Z: one program type,
-Relaxation, is the exactlp.LinearProgram of that system (int rows and rhs)
-with its column keys (term tuples first, then variable marginals, each in
-deterministic order) and eliminated keys, so the star point aligns
-coordinate-for-coordinate with the integer program.  Tuples outside dom(f)
-are eliminated from the column set rather than constrained to zero, and
-the refinement eliminates further columns.
+Relaxation, is the exactlp.LinearProgram of that system (each row its int
+nonzeros by column, int rhs) with its column keys (term tuples first, then
+variable marginals, each in deterministic order) and eliminated keys, so
+the star point aligns coordinate-for-coordinate with the integer program.
+Tuples outside dom(f) are eliminated from the column set rather than
+constrained to zero, and the refinement eliminates further columns.
 The BLP is built in one pass over each term's tuples, and its phase 2 runs
 once, for its value and its star point.  Of a term of arity k, k - 1
 marginal rows are integer combinations of the others; the program keeps
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -46,7 +45,7 @@ ColKey = tuple
 @dataclass
 class Relaxation(LinearProgram):
     """The BLP's constraint system (rows . x = rhs, x >= 0, min objective . x),
-    an LP over Q and read over Z by the AIP.  Rows and rhs are ints;
+    an LP over Q and read over Z by the AIP, in LinearProgram's row format;
     `columns` keys the n columns and `eliminated` the columns left out.
     `implied` lists the rows that are integer combinations of the others,
     rhs included, and `held` the others, the rows the tableau and the
@@ -91,9 +90,10 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     is a lambda column, its cost the objective entry, in the marginal row of
     each of its positions; a +inf tuple is eliminated.  Then the mu columns,
     the marginal equalities (= 0; term, position, label order) and the
-    per-variable normalisations (= 1).  Entries are the ints 0, 1 and -1,
-    exact for the LP and integral for the AIP.  The bounds lambda, mu <= 1
-    follow from nonnegativity and the normalisations and are not encoded.
+    per-variable normalisations (= 1).  Each row holds its nonzeros only,
+    the ints 1 and -1, exact for the LP and integral for the AIP.  The
+    bounds lambda, mu <= 1 follow from nonnegativity and the normalisations
+    and are not encoded.
 
     The marginal rows of one position sum, with its variable's
     normalisation, to "the term's lambdas sum to 1".  So at every position
@@ -129,19 +129,14 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     for term, cells in zip(instance.terms, marginals):
         for p, (x, cell) in enumerate(zip(term.args, cells)):
             for a, lams in cell.items():
-                row = [0] * n
-                for i in lams:
-                    row[i] = 1
+                row = dict.fromkeys(lams, 1)
                 row[mu[x, a]] = -1
                 rows.append(row)
             if p and cell:  # p > 0: the last label's row is implied
                 implied.append(len(rows) - 1)
     rhs = [0] * len(rows)
     for x in instance.variables:
-        row = [0] * n
-        for a in delta.domain:
-            row[mu[x, a]] = 1
-        rows.append(row)
+        rows.append({mu[x, a]: 1 for a in delta.domain})
         rhs.append(1)
     return Relaxation(n, rows, rhs, objective, columns, eliminated, implied)
 
@@ -165,10 +160,7 @@ def aip_value(aip: Relaxation) -> ExtVal:
     """min objective.x over the AIP's integer solutions, from one echelon
     elimination under the objective row, of the held rows: no unimodular
     transform is built."""
-    held = aip.held
-    return lattice.affine_min(
-        [aip.rows[i] for i in held], [aip.rhs[i] for i in held], aip.objective
-    )
+    return lattice.affine_min(aip)
 
 
 FEASIBLE_INTERIOR = "feasible-interior"
@@ -197,11 +189,11 @@ def _check_star_invariants(
     BLP's rows, is nonnegative, costs between the BLP's optimum and u, and
     is positive exactly where flagged.
 
-    Exact, in ints: an int row holds at the point when its dot product with
-    the ints is den times its rhs.
+    Exact, in ints: a row holds at the point when the sum over its nonzeros
+    of entry times int coordinate is den times its rhs.
     """
     for row, b in zip(blp.rows, blp.rhs):
-        if sum(map(operator.mul, row, ints)) != b * den:
+        if sum([a * ints[j] for j, a in row.items()]) != b * den:
             raise InvariantViolated("star point violates an equality")
     if any(x < 0 for x in ints):
         raise InvariantViolated("star point has a negative coordinate")
@@ -260,14 +252,16 @@ def select_star_point(blp: Relaxation, u: Fraction) -> StarPoint:
 
 
 def refine_aip(aip: Relaxation, star: StarPoint) -> Relaxation:
-    """Eliminate every column whose star coordinate is zero."""
+    """Eliminate every column whose star coordinate is zero: each row keeps
+    its nonzeros in the kept columns, re-indexed."""
     if star.columns != aip.columns:
         raise IndexMisalignment("star point indexed against a different program")
     keep = [i for i, v in enumerate(star.values) if v > 0]
     dropped = [aip.columns[i] for i, v in enumerate(star.values) if v == 0]
+    new = {i: k for k, i in enumerate(keep)}  # kept column -> its new index
     return Relaxation(
         len(keep),
-        [[row[i] for i in keep] for row in aip.rows],
+        [{new[i]: a for i, a in row.items() if i in new} for row in aip.rows],
         list(aip.rhs),
         [aip.objective[i] for i in keep],
         [aip.columns[i] for i in keep],

@@ -485,14 +485,15 @@ def _search(
         return NONE_EXISTS
     costs = list(ids)
     n, k = len(reps), len(sums)
-    rows, rhs = [[1] * n + [0] * k], [1]
+    rows, rhs = [dict.fromkeys(range(n), 1)], [1]
     for j, (entries, total) in enumerate(zip(zip(*reps), sums.values())):
         bound = total / m
         used = set(entries)
         ints, _ = int_scaled([*(costs[c] for c in used), bound])
         scaled = dict(zip(used, ints))
-        rows.append([scaled[c] for c in entries] + [0] * k)
-        rows[-1][n + j] = 1
+        row = exactlp.sparse_row([scaled[c] for c in entries])
+        row[n + j] = 1
+        rows.append(row)
         rhs.append(ints[-1])
     lp = exactlp.LinearProgram(n + k, rows, rhs, [0] * (n + k))
     res = exactlp.solve_lp(lp)
@@ -536,40 +537,3 @@ def find_promise_fpol_lp(
         return NONE_EXISTS
     return PromiseFpol.uniform_input(output)
 
-
-THIRD_K = "third-k"
-WEIGHT_SUM = "weight-sum"
-
-
-def wma(
-    k: int,
-    inputs: Sequence[Fraction],
-    normalization: str = THIRD_K,
-) -> Fraction:
-    """The 2-period weighted centred moving average.
-
-    The outer coordinate ranges carry weight 1 and the centre range weight
-    2.  The default normalisation divides by 3k, which is not idempotent;
-    the weight-sum variant divides by the actual weight total and is.
-    """
-    if k < 1 or k % 2 == 0 or len(inputs) != k:
-        raise PreconditionViolated("wma needs an odd k and exactly k inputs")
-    lo = k // 4
-    hi = (3 * k) // 4
-    weights = [1] * lo + [2] * (hi - lo) + [1] * (k - hi)
-    total = sum(w * x for w, x in zip(weights, inputs))
-    if normalization == THIRD_K:
-        return Fraction(total, 3 * k) if isinstance(total, int) else total / (3 * k)
-    if normalization == WEIGHT_SUM:
-        wsum = sum(weights)
-        return Fraction(total, wsum) if isinstance(total, int) else total / wsum
-    raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def wma_blocks(k: int) -> BlockPartition:
-    """The symmetric blocks of the moving average: outer indices vs centre."""
-    lo = k // 4
-    hi = (3 * k) // 4
-    outer = tuple(range(lo)) + tuple(range(hi, k))
-    centre = tuple(range(lo, hi))
-    return BlockPartition((outer, centre))

@@ -5,7 +5,8 @@ block-multiset costs over every arrangement of every argument, a
 four-pass BLP builder and the star point's arithmetic in Fractions.  These
 never share code with the solver paths they check; the witness-search
 reference shares only the LP solver, which has its own oracle above, and
-the star-point reference only the simplex and its support rounds."""
+the star-point reference only the simplex and its support rounds.  A test
+that writes a program densely builds it through one converter, dense_lp."""
 
 from __future__ import annotations
 
@@ -21,6 +22,33 @@ from pvcsp.theory import NONE_EXISTS, block_multiset_domain
 from pvcsp.values import PLUS_INF
 
 ZERO = Fraction(0)
+
+
+def sparse(row):
+    """A dense row's nonzeros by column, LinearProgram's row format."""
+    return {j: a for j, a in enumerate(row) if a}
+
+
+def dense(row, n):
+    """A row in LinearProgram's format as its n dense entries."""
+    return [row.get(j, 0) for j in range(n)]
+
+
+def dot(row, x):
+    """A row in LinearProgram's format times the vector x, in Fractions."""
+    return sum((a * x[j] for j, a in row.items()), ZERO)
+
+
+def dense_lp(n, rows, rhs, objective):
+    """The one converter of a program written densely, with int or Fraction
+    entries: each row is scaled with its rhs by the lcm of their
+    denominators to ints, and keeps its nonzeros."""
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        s = math.lcm(*(Fraction(a).denominator for a in [*row, b]))
+        int_rows.append(sparse([int(a * s) for a in row]))
+        int_rhs.append(int(b * s))
+    return exactlp.LinearProgram(n, int_rows, int_rhs, list(objective))
 
 
 def solve_unique(rows, rhs):
@@ -55,7 +83,7 @@ def enumerate_vertices(lp):
     vertices = []
     for size in range(0, min(m, lp.n) + 1):
         for cols in itertools.combinations(range(lp.n), size):
-            rows = [[lp.rows[i][j] for j in cols] for i in range(m)]
+            rows = [[lp.rows[i].get(j, 0) for j in cols] for i in range(m)]
             if size == 0:
                 sol = [] if all(b == 0 for b in lp.rhs) else None
             else:
@@ -407,7 +435,7 @@ def table_reference_search(template, partition):
         rows.append([x.numerator * (s // x.denominator) for x in entries] + [0] * k)
         rows[-1][n + j] = 1
         rhs.append(bound.numerator * (s // bound.denominator))
-    res = exactlp.solve_lp(exactlp.LinearProgram(n + k, rows, rhs, [0] * (n + k)))
+    res = exactlp.solve_lp(dense_lp(n + k, rows, rhs, [0] * (n + k)))
     if res.status != exactlp.OPTIMAL:
         return NONE_EXISTS, len(rows)
     measure = FiniteMeasure.from_pairs(

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import box_objective_range, enumerate_vertices, vertex_minimum
+from helpers import box_objective_range, dense_lp, enumerate_vertices, vertex_minimum
 from pvcsp import exactlp, generators, theory
 from pvcsp.core import (
     FiniteMeasure,
@@ -24,7 +24,6 @@ from pvcsp.core import (
     brute_force_min,
     pvcsp_oracle,
 )
-from pvcsp.exactlp import LinearProgram
 from pvcsp.lattice import solve_integer_system, evaluate_affine_min, INFEASIBLE
 from pvcsp.relax import blp_only_solve, combined_solve
 from pvcsp.theory import BlockPartition, NONE_EXISTS, PromiseFpol
@@ -220,7 +219,7 @@ def test_criterion_5_solver_core_oracles():
     for _ in range(200):
         n = rng.randint(1, 6)
         m = rng.randint(1, min(4, n))
-        prog = LinearProgram(
+        prog = dense_lp(
             n,
             [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)],
             [F(rng.randint(-2, 3)) for _ in range(m)],

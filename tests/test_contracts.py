@@ -11,7 +11,7 @@ import types
 from fractions import Fraction as F
 
 import pytest
-from helpers import fraction_star_point
+from helpers import dense_lp, fraction_star_point
 
 from pvcsp import exactlp, formats, generators, relax, theory
 from pvcsp.core import Instance, PromiseTemplate, Signature, Term, ValuedStructure
@@ -203,7 +203,7 @@ def test_no_solve_path_leaves_cyclic_garbage():
         PromiseTemplate(delta, generators.weaken_structure(rng, delta))
         for delta in (generators.random_structure(rng, 2) for _ in range(3))
     ]
-    prog = exactlp.LinearProgram(3, [[1, 1, 1], [1, -1, 0]], [2, 0], [-1, 0, 1])
+    prog = dense_lp(3, [[1, 1, 1], [1, -1, 0]], [2, 0], [-1, 0, 1])
     stars = 0
     gc.disable()
     try:

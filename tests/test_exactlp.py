@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import dense_pivot, enumerate_vertices, vertex_minimum
+from helpers import dense_lp, dense_pivot, dot, enumerate_vertices, vertex_minimum
 from pvcsp import exactlp, generators
 from pvcsp.errors import DimensionMismatch, InfeasibleRegion, UnboundedObjective
 from pvcsp.exactlp import (
@@ -26,33 +26,24 @@ from pvcsp.relax import build_blp
 Z = F(0)
 
 
-def lp(n, rows, rhs, obj):
-    return LinearProgram(
-        n,
-        [[F(a) for a in row] for row in rows],
-        [F(b) for b in rhs],
-        [F(c) for c in obj],
-    )
-
-
 def test_fixed_single_variable():
-    res = solve_lp(lp(1, [[1]], [1], [1]))
+    res = solve_lp(dense_lp(1, [[1]], [1], [1]))
     assert res.status == OPTIMAL
     assert res.value == 1 and res.point == [F(1)]
 
 
 def test_simplex_picks_cheap_vertex():
-    res = solve_lp(lp(2, [[1, 1]], [1], [0, 1]))
+    res = solve_lp(dense_lp(2, [[1, 1]], [1], [0, 1]))
     assert res.status == OPTIMAL
     assert res.value == 0 and res.point == [F(1), F(0)]
 
 
 def test_contradictory_equalities_infeasible():
-    assert solve_lp(lp(2, [[1, 1], [1, 1]], [1, 2], [0, 0])).status == INFEASIBLE
+    assert solve_lp(dense_lp(2, [[1, 1], [1, 1]], [1, 2], [0, 0])).status == INFEASIBLE
 
 
 def test_unbounded_below():
-    res = solve_lp(lp(2, [[1, -1]], [0], [-1, 0]))
+    res = solve_lp(dense_lp(2, [[1, -1]], [0], [-1, 0]))
     assert res.status == UNBOUNDED
     assert res.ray is not None
     # the ray improves the objective and preserves the equalities
@@ -62,7 +53,37 @@ def test_unbounded_below():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        LinearProgram(2, [[F(1)]], [F(1)], [F(0), F(0)])
+        LinearProgram(2, [{0: 1}], [1], [Z])
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(2, [{0: 1}], [1, 2], [Z, Z])
+
+
+@pytest.mark.parametrize("key", [-1, 2, 3])
+def test_row_key_outside_the_columns_rejected(key):
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(2, [{0: 1}, {key: 1}], [1, 0], [Z, Z])
+
+
+@pytest.mark.parametrize(
+    "row, rhs",
+    [
+        ({0: 1, 1: 0}, 1),  # a stored 0
+        ({0: F(1)}, 1),  # a Fraction entry, even an integral one
+        ({0: F(1, 2)}, 1),
+        ({0: True}, 1),  # a bool entry
+        ({0: 1}, F(1)),  # a non-int rhs
+        ({0: 1}, 1.0),
+    ],
+)
+def test_row_entries_and_rhs_must_be_nonzero_ints(row, rhs):
+    with pytest.raises(ValueError):
+        LinearProgram(2, [{1: 1}, row], [1, rhs], [Z, Z])
+
+
+def test_empty_row_accepted():
+    prog = LinearProgram(2, [{}, {0: 1, 1: -1}], [0, 0], [Z, Z])
+    assert solve_lp(prog).status == OPTIMAL
+    assert solve_lp(LinearProgram(1, [{}], [1], [Z])).status == INFEASIBLE
 
 
 def support(prog):
@@ -70,35 +91,35 @@ def support(prog):
 
 
 def test_support_profile_simplex_face():
-    assert support(lp(2, [[1, 1]], [1], [0, 0])) == [True, True]
+    assert support(dense_lp(2, [[1, 1]], [1], [0, 0])) == [True, True]
 
 
 def test_support_profile_pinned_coordinate():
-    assert support(lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0])) == [True, False]
+    assert support(dense_lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0])) == [True, False]
 
 
 def test_support_profile_unbounded_direction():
     # x - y = 0 over x, y >= 0: both coordinates unbounded
-    assert support(lp(2, [[1, -1]], [0], [0, 0])) == [True, True]
+    assert support(dense_lp(2, [[1, -1]], [0], [0, 0])) == [True, True]
 
 
 def test_support_profile_infeasible():
     with pytest.raises(InfeasibleRegion):
-        support(lp(1, [[1], [1]], [1, 2], [0]))
+        support(dense_lp(1, [[1], [1]], [1, 2], [0]))
 
 
 def test_relative_interior_simplex():
-    p, _ = relative_interior_point_with_flags(lp(2, [[1, 1]], [1], [0, 0]))
+    p, _ = relative_interior_point_with_flags(dense_lp(2, [[1, 1]], [1], [0, 0]))
     assert p[0] > 0 and p[1] > 0 and p[0] + p[1] == 1
 
 
 def test_relative_interior_single_point():
-    p, _ = relative_interior_point_with_flags(lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0]))
+    p, _ = relative_interior_point_with_flags(dense_lp(2, [[1, 1], [0, 1]], [1, 0], [0, 0]))
     assert p == [F(1), Z]
 
 
 def test_relative_interior_free_cone():
-    p, _ = relative_interior_point_with_flags(lp(1, [], [], [0]))
+    p, _ = relative_interior_point_with_flags(dense_lp(1, [], [], [0]))
     assert p[0] > 0
 
 
@@ -107,7 +128,7 @@ def test_relative_interior_matches_profile():
     for _ in range(30):
         n = rng.randint(1, 5)
         m = rng.randint(1, 3)
-        prog = lp(
+        prog = dense_lp(
             n,
             [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)],
             [rng.randint(0, 2) for _ in range(m)],
@@ -118,18 +139,18 @@ def test_relative_interior_matches_profile():
         p, flags = relative_interior_point_with_flags(prog)
         assert [x > 0 for x in p] == flags
         for row, b in zip(prog.rows, prog.rhs):
-            assert sum((a * x for a, x in zip(row, p)), Z) == b
+            assert dot(row, p) == b
 
 
 def test_restrict_to_optimal_face_pins_expensive_var():
-    prog = lp(2, [[1, 1]], [1], [0, 1])
+    prog = dense_lp(2, [[1, 1]], [1], [0, 1])
     face = restrict_to_optimal_face(prog)
-    assert face.rows[-1] == [Z, F(1)] and face.rhs[-1] == Z
+    assert face.rows[-1] == {1: 1} and face.rhs[-1] == 0
     assert support(face) == [True, False]
 
 
 def test_restrict_redundant_when_face_is_whole_polytope():
-    prog = lp(2, [[1, 1]], [1], [1, 1])
+    prog = dense_lp(2, [[1, 1]], [1], [1, 1])
     face = restrict_to_optimal_face(prog)
     assert face.rhs[-1] == F(1)
     assert support(face) == [True, True]
@@ -148,7 +169,7 @@ def bounded_lp(rng):
     if len(rows) > 1 and rng.random() < 0.5:
         rows.append([a + b for a, b in zip(rows[0], rows[-1])])
         rhs.append(rhs[0] + rhs[-1])
-    return lp(n, rows, rhs, [rng.randint(-2, 2) for _ in range(n)])
+    return dense_lp(n, rows, rhs, [rng.randint(-2, 2) for _ in range(n)])
 
 
 def support_union(points, n):
@@ -157,7 +178,7 @@ def support_union(points, n):
 
 def assert_interior(prog, point, flags):
     for row, b in zip(prog.rows, prog.rhs):
-        assert sum((a * x for a, x in zip(row, point)), Z) == b
+        assert dot(row, point) == b
     assert [x > 0 for x in point] == flags and all(x >= 0 for x in point)
 
 
@@ -203,7 +224,7 @@ def test_warm_rounds_match_vertex_enumeration():
 
 def test_warm_rounds_unbounded_region():
     # x1 - x2 = 1 with x3 pinned to 0: x1 and x2 grow along a ray
-    warm = WarmLP(lp(3, [[1, -1, 0], [0, 0, 1]], [1, 0], [0, 0, 0]))
+    warm = WarmLP(dense_lp(3, [[1, -1, 0], [0, 0, 1]], [1, 0], [0, 0, 0]))
     point, flags = fractions(*warm.interior_ints())
     assert flags == [True, True, False]
     assert point[0] - point[1] == 1 and point[2] == 0
@@ -211,7 +232,7 @@ def test_warm_rounds_unbounded_region():
 
 def test_warm_face_of_unbounded_region():
     # x1 - x2 = 0 minimising x3: the face is the ray x1 = x2, x3 = 0
-    prog = lp(3, [[1, -1, 0]], [0], [0, 0, 1])
+    prog = dense_lp(3, [[1, -1, 0]], [0], [0, 0, 1])
     point, flags = fractions(*WarmLP(prog).face_interior_ints())
     assert flags == [True, True, False]
     assert point[0] == point[1] > 0
@@ -219,11 +240,11 @@ def test_warm_face_of_unbounded_region():
 
 def test_warm_face_unbounded_objective():
     with pytest.raises(UnboundedObjective):
-        WarmLP(lp(2, [[1, -1]], [0], [-1, 0])).face_interior_ints()
+        WarmLP(dense_lp(2, [[1, -1]], [0], [-1, 0])).face_interior_ints()
 
 
 def test_warm_rounds_empty_region():
-    warm = WarmLP(lp(1, [[1], [1]], [1, 2], [0]))
+    warm = WarmLP(dense_lp(1, [[1], [1]], [1, 2], [0]))
     assert warm.minimise().status == INFEASIBLE
     with pytest.raises(InfeasibleRegion):
         warm.interior_ints()
@@ -234,7 +255,7 @@ def test_warm_rounds_empty_region():
 def random_lp(rng, n_max=6, m_max=4):
     n = rng.randint(1, n_max)
     m = rng.randint(1, min(m_max, n))
-    return lp(
+    return dense_lp(
         n,
         [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)],
         [rng.randint(-2, 3) for _ in range(m)],
@@ -253,7 +274,7 @@ def test_against_vertex_enumeration():
             assert expected is not None
             assert res.value == expected
             for row, b in zip(prog.rows, prog.rhs):
-                assert sum((a * x for a, x in zip(row, res.point)), Z) == b
+                assert dot(row, res.point) == b
         elif res.status == INFEASIBLE:
             assert enumerate_vertices(prog) == []
         else:
@@ -263,16 +284,17 @@ def test_against_vertex_enumeration():
             assert res.status == UNBOUNDED
             assert all(x >= 0 for x in res.point) and all(r >= 0 for r in res.ray)
             for row, b in zip(prog.rows, prog.rhs):
-                assert sum((a * x for a, x in zip(row, res.point)), Z) == b
-                assert sum((a * r for a, r in zip(row, res.ray)), Z) == 0
+                assert dot(row, res.point) == b
+                assert dot(row, res.ray) == 0
             assert sum((c * r for c, r in zip(prog.objective, res.ray)), Z) < 0
     assert unbounded == 17
 
 
 def rational_lp(rng):
     """bounded_lp with rational data: each row has its own denominators, so
-    the tableau scales each row by a different lcm; some rows have negative
-    right-hand sides (flipped before phase 1) and some are 0 (degenerate)."""
+    the converter scales each row by a different lcm; some rows have
+    negative right-hand sides (flipped before phase 1) and some are 0
+    (degenerate)."""
     n = rng.randint(2, 5)
 
     def q(lo, hi):
@@ -288,7 +310,7 @@ def rational_lp(rng):
         k = F(-rng.randint(1, 3), rng.choice([2, 3, 5]))
         rows.append([k * (a + b) for a, b in zip(rows[0], rows[-1])])
         rhs.append(k * (rhs[0] + rhs[-1]))
-    return LinearProgram(n, rows, rhs, [q(-3, 3) for _ in range(n)])
+    return dense_lp(n, rows, rhs, [q(-3, 3) for _ in range(n)])
 
 
 def test_rational_rows_match_vertex_enumeration():
@@ -307,7 +329,7 @@ def test_rational_rows_match_vertex_enumeration():
 
 def test_rational_unbounded_ray():
     # x1/2 - 2 x2/3 = -1/3 minimising -x1: the ray (1, 3/4) keeps the row
-    prog = LinearProgram(2, [[F(1, 2), F(-2, 3)]], [F(-1, 3)], [F(-1), Z])
+    prog = dense_lp(2, [[F(1, 2), F(-2, 3)]], [F(-1, 3)], [F(-1), Z])
     res = solve_lp(prog)
     assert res.status == UNBOUNDED
     assert res.ray == [F(1), F(3, 4)]
@@ -370,7 +392,7 @@ def slack_form_lp(rng):
         expected[a] = expected[b] = None
         expected.append(None)
     n = nx + len(own)
-    prog = LinearProgram(n, rows, rhs, [q(-3, 3) for _ in range(n)])
+    prog = dense_lp(n, rows, rhs, [q(-3, 3) for _ in range(n)])
     return prog, expected, kinds
 
 
@@ -402,7 +424,7 @@ def test_all_slack_program_makes_no_phase1_pivot(monkeypatch):
     # x + y + s1 = 2, x - y + s2 / 3 = 1/3, 2y + s3 = 0: rhs >= 0 and, once
     # the second row is scaled by 3, the slacks are a feasible basis, so
     # phase 1 has nothing to do
-    prog = LinearProgram(
+    prog = dense_lp(
         5,
         [[1, 1, 1, 0, 0], [1, -1, 0, F(1, 3), 0], [0, 2, 0, 0, 1]],
         [2, F(1, 3), 0],
@@ -422,7 +444,7 @@ def test_all_slack_program_makes_no_phase1_pivot(monkeypatch):
 
 # Beale's (1955) LP: min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 over three rows
 # with slacks x1, x2, x3; its optimum is -1/20
-BEALE = lp(
+BEALE = dense_lp(
     7,
     [
         [1, 0, 0, F(1, 4), -60, F(-1, 25), 9],
@@ -438,7 +460,7 @@ BEALE = lp(
 # and the reduced costs there as the objective (they differ from Beale's by
 # a multiple of the rhs-0 rows).  The tableau starts from that basis, and
 # Dantzig's rule alone comes back to it every six degenerate pivots.
-BEALE_CYCLE = lp(
+BEALE_CYCLE = dense_lp(
     7,
     [[3, 0, 0, 1, -36, -4, 36], [-1, 1, 0, 0, 3, 1, -10], [0, 0, 1, 0, 0, 100, 0]],
     [0, 0, 1],
@@ -489,7 +511,7 @@ def degenerate_lp(rng):
         row.extend(int(i == k) for k in slacks)
     n += len(slacks)
     rhs = [rng.randint(1, 4)] + [0] * (m - 1)
-    return lp(n, rows, rhs, [rng.randint(-3, 3) for _ in range(n)])
+    return dense_lp(n, rows, rhs, [rng.randint(-3, 3) for _ in range(n)])
 
 
 def test_degenerate_lps_match_vertex_enumeration(monkeypatch):
@@ -518,7 +540,8 @@ from pvcsp.exactlp import LinearProgram, WarmLP
 from pvcsp.errors import InvariantViolated
 if __debug__:
     raise SystemExit("asserts are still on")
-prog = LinearProgram(2, [[F(1, 2), F(1, 3)]], [F(1)], [F(1), F(1)])
+# x1 / 2 + x2 / 3 = 1, scaled to ints
+prog = LinearProgram(2, [{0: 3, 1: 2}], [6], [F(1), F(1)])
 for corrupt in ("rhs", "ray"):
     tab = WarmLP(prog)
     tab.rows[0][-1 if corrupt == "rhs" else 1] += 1
@@ -591,9 +614,9 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
 
 
 def test_int_rows_are_read_as_ints(monkeypatch):
-    # entries given as Fraction(k, 1) among ints: the tableau holds ints
-    # only, including a row with a negative rhs, and the answers are the
-    # vertex enumeration's
+    # entries given as Fraction(k, 1) among ints, converted once: the
+    # tableau holds ints only, including a row with a negative rhs, and the
+    # answers are the vertex enumeration's
     rng = random.Random(53)
     checked = negative = 0
     for _ in range(80):
@@ -608,7 +631,7 @@ def test_int_rows_are_read_as_ints(monkeypatch):
         for _ in range(rng.randint(1, 2)):
             rows.append([entry(-2, 2) for _ in range(n)])
             rhs.append(entry(-2, 2))
-        prog = LinearProgram(n, rows, rhs, [entry(-2, 2) for _ in range(n)])
+        prog = dense_lp(n, rows, rhs, [entry(-2, 2) for _ in range(n)])
         with monkeypatch.context() as m:  # the tableau before phase 1
             m.setattr(WarmLP, "_phase1", lambda tab: None)
             tab = WarmLP(prog)

@@ -10,10 +10,13 @@ import pytest
 from helpers import (
     box_min_objective,
     box_solutions,
+    dense,
     dense_hermite_normal_form,
+    dense_lp,
     dense_solve_integer_system,
     gf2_satisfiable,
     scan_echelon,
+    sparse,
 )
 from pvcsp import generators, lattice, relax
 from pvcsp.core import Instance, Signature, Term, ValuedStructure
@@ -34,6 +37,16 @@ def matmul(A, B):
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
         for i in range(len(A))
     ]
+
+
+def dense_rows(lp):
+    return [dense(row, lp.n) for row in lp.rows]
+
+
+def echelon(A):
+    """lattice._echelon of the dense A under the identity tail."""
+    m, n = len(A), len(A[0]) if A else 0
+    return lattice._echelon([sparse(row) for row in A], [{m + j: 1} for j in range(n)])
 
 
 def det(M):
@@ -245,7 +258,7 @@ def test_echelon_matches_dense_reference():
         systems.append((A, [rng.randint(-6, 6) for _ in range(m)]))
     for k in range(30):
         aip = build_aip(XOR, xor_instance(rng, 20 + 20 * k // 29, k % 2 == 0)[0])
-        systems.append((aip.rows, aip.rhs))
+        systems.append((dense_rows(aip), aip.rhs))
     infeasible = 0
     for A, b in systems:
         assert hermite_normal_form(A) == dense_hermite_normal_form(A)
@@ -304,18 +317,18 @@ def test_indexed_echelon_matches_scan(monkeypatch):
     assert any(len(A) < len(A[0]) for A in mats)
     passes = []
     for A in mats:
-        assert lattice._echelon(A) == scan_echelon(A, passes)
+        assert echelon(A) == scan_echelon(A, passes)
     assert max(passes) > 2
     for k in range(15):
-        A = build_aip(XOR, xor_instance(rng, 20 + 40 * k // 14, k % 2 == 0)[0]).rows
-        assert lattice._echelon(A) == scan_echelon(A)
+        A = dense_rows(build_aip(XOR, xor_instance(rng, 20 + 40 * k // 14, k % 2 == 0)[0]))
+        assert echelon(A) == scan_echelon(A)
     # the refined AIPs that combined_solve builds
     refined = []
-    echelon = lattice._echelon
+    original = lattice._echelon
 
-    def capture(A, *tail):
-        refined.append([row[:] for row in A])
-        return echelon(A, *tail)
+    def capture(A, tail):
+        refined.append([dense(row, len(tail)) for row in A])
+        return original(A, tail)
 
     monkeypatch.setattr(lattice, "_echelon", capture)
     structures = [
@@ -331,7 +344,7 @@ def test_indexed_echelon_matches_scan(monkeypatch):
     monkeypatch.undo()
     assert len(refined) >= 20
     for A in refined:
-        assert lattice._echelon(A) == scan_echelon(A)
+        assert echelon(A) == scan_echelon(A)
 
 
 def objectives(rng, A):
@@ -361,14 +374,14 @@ def test_affine_min_matches_lattice_evaluation(monkeypatch):
         systems.append((A, b))
     for k in range(15):
         aip = build_aip(XOR, xor_instance(rng, 20 + 40 * k // 14, k % 2 == 0)[0])
-        systems.append((aip.rows, aip.rhs))
+        systems.append((dense_rows(aip), aip.rhs))
     cases = [(A, b, c) for A, b in systems for c in objectives(rng, A)]
     # the refined AIPs that combined_solve builds, with their objectives
     refined = []
     value_of = relax.aip_value
 
     def capture(aip):
-        refined.append((aip.rows, aip.rhs, aip.objective))
+        refined.append((dense_rows(aip), aip.rhs, aip.objective))
         return value_of(aip)
 
     monkeypatch.setattr(relax, "aip_value", capture)
@@ -394,7 +407,7 @@ def test_affine_min_matches_lattice_evaluation(monkeypatch):
         build_aip(XOR, Instance(("x",), (), F(0))),
         build_aip(empty, Instance(("x",), (Term("e", ("x",)),), F(0))),
     ]
-    cases += [(aip.rows, aip.rhs, aip.objective) for aip in edge]
+    cases += [(dense_rows(aip), aip.rhs, aip.objective) for aip in edge]
     cases += [
         ([], [], []),
         ([], [], [F(0)] * 3),
@@ -404,7 +417,7 @@ def test_affine_min_matches_lattice_evaluation(monkeypatch):
     ]
     seen = set()
     for A, b, c in cases:
-        value = lattice.affine_min(A, b, c)
+        value = lattice.affine_min(dense_lp(len(c), A, b, c))
         expected = evaluate_affine_min(c, solve_integer_system(A, b, len(c)))
         assert (value, type(value)) == (expected, type(expected))
         seen.add("finite" if is_finite(value) else value)
@@ -412,7 +425,7 @@ def test_affine_min_matches_lattice_evaluation(monkeypatch):
     for A, _, c in cases[: 3 * len(systems)]:
         den = math.lcm(*(ci.denominator for ci in c))
         tail = [{len(A): ci.numerator * (den // ci.denominator)} if ci else {} for ci in c]
-        assert lattice._echelon(A, tail) == scan_echelon(A, tail=tail)
+        assert lattice._echelon(list(map(sparse, A)), tail) == scan_echelon(A, tail=tail)
 
 
 def test_xor_aip_finite_iff_parity_satisfiable():
@@ -437,8 +450,8 @@ from pvcsp.errors import InvariantViolated
 if __debug__:
     raise SystemExit("asserts are still on")
 echelon = lattice._echelon
-def corrupted(A):
-    cols, pivots = echelon(A)
+def corrupted(A, tail):
+    cols, pivots = echelon(A, tail)
     cols[-1][0] = 1
     return cols, pivots
 lattice._echelon = corrupted
@@ -467,8 +480,8 @@ from pvcsp.errors import InvariantViolated
 if __debug__:
     raise SystemExit("asserts are still on")
 echelon = lattice._echelon
-def corrupted(A, *tail):
-    cols, pivots = echelon(A, *tail)
+def corrupted(A, tail):
+    cols, pivots = echelon(A, tail)
     if len(cols) == len(pivots):
         raise SystemExit("no kernel column to corrupt")
     cols[-1][0] = 1

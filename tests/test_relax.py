@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from helpers import fraction_star_point, reference_blp
+from helpers import fraction_star_point, reference_blp, sparse
 
 from pvcsp import exactlp, generators, lattice, relax
 from pvcsp.core import (
@@ -94,8 +94,9 @@ def blp_ladder():
 def test_build_blp_matches_four_pass_reference():
     for delta, ins in blp_ladder():
         blp = build_blp(delta, ins)
-        got = (blp.rows, blp.rhs, blp.objective)
-        assert got + (blp.columns, blp.eliminated) == reference_blp(delta, ins)
+        rows, *rest = reference_blp(delta, ins)
+        got = (blp.rows, blp.rhs, blp.objective, blp.columns, blp.eliminated)
+        assert got == (list(map(sparse, rows)), *rest)
 
 
 def test_implied_rows_are_combinations_of_the_others():
@@ -121,8 +122,8 @@ def test_implied_rows_are_combinations_of_the_others():
                 for i in block[:-1]:
                     combo[i] = -1
                 for j in range(blp.n):
-                    total = sum(k * blp.rows[i][j] for i, k in combo.items())
-                    assert total == blp.rows[block[-1]][j]
+                    total = sum(k * blp.rows[i].get(j, 0) for i, k in combo.items())
+                    assert total == blp.rows[block[-1]].get(j, 0)
                 assert sum(k * blp.rhs[i] for i, k in combo.items()) == blp.rhs[block[-1]]
                 expected.append(block[-1])
                 seen["repeated"] += x == term.args[0]
@@ -137,28 +138,28 @@ def test_tableau_and_echelon_leave_implied_rows_out(monkeypatch):
     # echelon gets only the others; the BLP's and AIP's values are those of
     # the full system, and the refined AIP keeps the list
     echelon_rows = []
-    affine_min = lattice.affine_min
+    echelon = lattice._echelon
     monkeypatch.setattr(
-        lattice, "affine_min", lambda A, b, c: echelon_rows.append(len(A)) or affine_min(A, b, c)
+        lattice, "_echelon", lambda A, tail: echelon_rows.append(len(A)) or echelon(A, tail)
     )
+
+    def full(p):  # a plain program: tableau and echelon hold every row
+        return exactlp.LinearProgram(p.n, p.rows, p.rhs, p.objective)
+
     refined_count = 0
     for delta, ins in blp_ladder():
         blp = build_blp(delta, ins)
         warm = blp.warm
         assert warm.m == len(blp.rows)
         assert len(warm.rows) <= len(blp.rows) - len(blp.implied)
-        full = exactlp.WarmLP(
-            exactlp.LinearProgram(blp.n, blp.rows, blp.rhs, blp.objective)
-        ).minimise()
-        assert (full.status, full.value) == (blp.phase2.status, blp.phase2.value)
-        assert aip_value(blp) == affine_min(blp.rows, blp.rhs, blp.objective)
-        assert echelon_rows.pop() == len(blp.rows) - len(blp.implied)
+        res = exactlp.WarmLP(full(blp)).minimise()
+        assert (res.status, res.value) == (blp.phase2.status, blp.phase2.value)
+        assert aip_value(blp) == lattice.affine_min(full(blp))
+        assert echelon_rows[-2:] == [len(blp.rows) - len(blp.implied), len(blp.rows)]
         if blp.phase2.status == exactlp.OPTIMAL:
             refined = refine_aip(blp, select_star_point(blp, blp.phase2.value))
             assert refined.implied == blp.implied
-            assert aip_value(refined) == affine_min(
-                refined.rows, refined.rhs, refined.objective
-            )
+            assert aip_value(refined) == lattice.affine_min(full(refined))
             refined_count += 1
     assert refined_count >= 15
 
@@ -235,7 +236,8 @@ def test_build_aip_shares_index_with_blp():
     blp = build_blp(XOR, ins)
     aip = build_aip(XOR, ins)
     assert aip.columns == blp.columns
-    assert aip.rows == [[int(a) for a in row] for row in blp.rows]
+    assert aip.rows == blp.rows
+    assert all(type(a) is int for row in aip.rows for a in row.values())
 
 
 def test_aip_value_satisfiable_parity():
@@ -477,13 +479,27 @@ def test_select_star_point_requires_threshold():
 
 
 def test_refine_aip_drops_zero_columns():
-    ins = inst(["x", "y"], [("xor1", ["x", "y"])], 0)
-    blp = build_blp(XOR, ins)
-    aip = build_aip(XOR, ins)
-    star = select_star_point(blp, F(0))
-    refined = refine_aip(aip, star)
-    assert len(refined.columns) == sum(1 for v in star.values if v > 0)
-    assert len(refined.rows[0]) == len(refined.columns)
+    # xor1 keeps every column; w's optimal face drops the costly tuple and
+    # its label's marginal
+    cases = [
+        (XOR, inst(["x", "y"], [("xor1", ["x", "y"])], 0)),
+        (WEIGHTED, inst(["x"], [("w", ["x"])], 0)),
+    ]
+    dropped = []
+    for delta, ins in cases:
+        aip = build_aip(delta, ins)
+        star = select_star_point(build_blp(delta, ins), F(0))
+        refined = refine_aip(aip, star)
+        keep = [j for j, v in enumerate(star.values) if v > 0]
+        assert refined.n == len(keep)
+        assert refined.columns == [aip.columns[j] for j in keep]
+        dropped.append(aip.n - len(keep))
+        # each refined row is its source row restricted to the kept
+        # columns, re-indexed
+        assert len(refined.rows) == len(aip.rows)
+        for row, source in zip(refined.rows, aip.rows):
+            assert row == {k: source[j] for k, j in enumerate(keep) if j in source}
+    assert dropped == [0, 2]
 
 
 def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
@@ -503,7 +519,7 @@ def test_aip_shares_blp_rows_and_leaves_them_unchanged(monkeypatch):
     ]
     for delta, ins, provenance in cases:
         blp = build_blp(delta, ins)
-        rows = [row[:] for row in blp.rows]
+        rows = [dict(row) for row in blp.rows]
         rhs = list(blp.rhs)
         objective = list(blp.objective)
         aip = blp

@@ -33,8 +33,6 @@ from pvcsp.theory import (
     lift_fpol_to_frachom,
     render_multiset_element,
     symmetrize_input_weights,
-    wma,
-    wma_blocks,
 )
 from pvcsp.values import PLUS_INF
 
@@ -775,48 +773,3 @@ def test_cap_guards_refuse_before_enumerating(monkeypatch):
     with pytest.raises(ResourceGuard):
         find_promise_fpol_lp(PromiseTemplate(delta, delta), 40)
 
-
-# moving average
-
-
-def test_wma_default_normalisation():
-    assert wma(5, [F(1)] * 5) == F(7, 15)
-    assert wma(5, [F(1)] * 5, normalization=theory.THIRD_K) == F(7, 15)
-
-
-def test_wma_weight_sum_normalisation_is_idempotent():
-    assert wma(5, [F(1)] * 5, normalization=theory.WEIGHT_SUM) == 1
-    assert wma(1, [F(3)], normalization=theory.WEIGHT_SUM) == 3
-
-
-def test_wma_weight_layout():
-    # k=5: one light lead-in, two heavy centre terms spill to index 2, then
-    # light tail; checked via indicator inputs
-    values = [wma(5, [F(1) if i == j else F(0) for i in range(5)], theory.WEIGHT_SUM) for j in range(5)]
-    assert [v * 7 for v in values] == [1, 2, 2, 1, 1]
-
-
-def test_wma_rejects_bad_shape():
-    with pytest.raises(PreconditionViolated):
-        wma(4, [F(1)] * 4)
-    with pytest.raises(PreconditionViolated):
-        wma(5, [F(1)] * 4)
-
-
-def test_wma_weight_sum_average_axioms():
-    # bounded by min and max, and homogeneous under positive scaling
-    rng = random.Random(71)
-    for _ in range(30):
-        k = rng.choice([1, 3, 5, 7])
-        xs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)]
-        out = wma(k, xs, normalization=theory.WEIGHT_SUM)
-        assert min(xs) <= out <= max(xs)
-        lam = F(rng.randint(1, 7), rng.randint(1, 4))
-        scaled = wma(k, [lam * x for x in xs], normalization=theory.WEIGHT_SUM)
-        assert scaled == lam * out
-
-
-def test_wma_blocks_partition():
-    p = wma_blocks(5)
-    assert p.blocks == ((0, 3, 4), (1, 2))
-    assert p.arity == 5
