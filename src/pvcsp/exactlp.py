@@ -2,7 +2,10 @@
 
 A two-phase simplex on one integer-preserving tableau, WarmLP, that prices
 by Dantzig's rule and falls back to Bland's rule after a degenerate pivot,
-so it never cycles.  A program's rows are its one row format: each row is
+so it never cycles.  Phase 1 retires its artificials as soon as it can: a
+crash pivot hands each artificial row with rhs > 0 to a structural column
+that fits it, a ratio tie goes to an artificial, and an artificial that has
+left never re-enters.  A program's rows are its one row format: each row is
 its nonzero int entries by column, with an int rhs; the objective may hold
 Fractions.  Outputs are Fractions, or ints over one denominator where a
 caller does the rest of its arithmetic in ints.  A program names the rows a
@@ -132,7 +135,10 @@ class WarmLP:
     rational row, so it keeps the denominator it had instead of being
     rescaled.  A held row's unit column (1 in it, signed, 0 in every other
     held row) starts basic; columns beyond n are phase-1 artificials, one
-    per held row without one, dropped once phase 1 is over.  `feasible` is
+    per held row without one, dropped once phase 1 is over.  Phase 1 hands
+    an artificial's row to a structural column by a crash pivot where one
+    fits, and otherwise by the simplex, which enters structural columns only
+    and breaks ratio ties in favour of artificials (_phase1).  `feasible` is
     phase 1's verdict.
     """
 
@@ -140,23 +146,23 @@ class WarmLP:
         self.n = n = lp.n
         self.m = len(lp.rows)
         self.objective = lp.objective
-        dense = []
+        held = lp.held
+        at = [-1] * self.m  # at[i] is input row i's tableau row, if held
+        for t, i in enumerate(held):
+            at[i] = t
+        self.rows: list[list[int]] = [[]] * len(held)
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
             if b < 0:
                 row, b = {j: -a for j, a in row.items()}, -b
-            ints = [0] * n + [b]
             for j, a in row.items():
-                ints[j] = a
                 self.cols[j].append((i, a))
             if b:
                 self.cols[n].append((i, b))
-            dense.append(ints)
-        held = lp.held
-        self.rows = [dense[i] for i in held]
-        at = [-1] * self.m  # at[i] is input row i's tableau row, if held
-        for t, i in enumerate(held):
-            at[i] = t
+            if at[i] >= 0:
+                ints = self.rows[at[i]] = [0] * n + [b]
+                for j, a in row.items():
+                    ints[j] = a
         # each held row starts from its first unit column, or else an
         # artificial; a column with more entries than the rows left out
         # plus one has two or more in the held rows
@@ -187,9 +193,37 @@ class WarmLP:
     def _phase1(self) -> bool:
         """Minimise the artificials' sum; on a feasible region, drive the
         artificials out of the basis and drop the rows left redundant.
-        Any positive costs give the same verdict, so each costs 1."""
-        n = self.n
-        if self.run([0] * n + [1] * (self.width - n), range(self.width)) is not None:
+        Any positive costs give the same verdict, so each costs 1.
+
+        Three pivot choices that the simplex may make anyway retire the
+        artificials early.  A crash pivot first visits each row still held
+        by an artificial with rhs > 0, in row order, and enters the first
+        structural column j that is positive there, zero in every other row
+        still held by an artificial, and whose ratio test that row wins: j's
+        reduced cost is minus its entry there, < 0, and the pivot takes that
+        artificial to 0 at once (Bixby 1992).  Then `run` prices the
+        structural columns only, so an artificial that has left never comes
+        back, and a ratio tie goes to an artificial (_leaving).
+
+        Termination: order the artificials before the structural columns.
+        Crash pivots and nondegenerate pivots strictly lower the objective.
+        In a run of degenerate pivots, entering is among structural columns
+        and leaving ties follow that order, so from its second pivot on the
+        run is Bland's rule on the program less the artificials that have
+        left; each leaves at most once, so that program changes at most
+        width - n times.
+        """
+        n, rows, basis = self.n, self.rows, self.basis
+        arts = [t for t, b in enumerate(basis) if b >= n]
+        for t in arts:
+            row = rows[t]
+            others = [rows[s] for s in arts if basis[s] >= n and s != t]
+            for j in range(n) if row[-1] else ():
+                fits = row[j] > 0 and not any(other[j] for other in others)
+                if fits and self._leaving(j) == t:
+                    self.pivot(t, j)
+                    break
+        if self.run([0] * n + [1] * (self.width - n), range(n)) is not None:
             raise InvariantViolated("phase-1 objective is bounded below by 0")
         if any(row[-1] for row, b in zip(self.rows, self.basis) if b >= n):
             return False
@@ -205,9 +239,9 @@ class WarmLP:
                 del self.rows[i]
                 del self.den[i]
                 del self.basis[i]
-        # every basic column is structural now
-        self.rows = [row[:n] + row[-1:] for row in self.rows]
-        self.width = n
+        if self.width > n:  # every basic column is structural now
+            self.rows = [row[:n] + row[-1:] for row in self.rows]
+            self.width = n
         return True
 
     def _at_d(self, row: list[int], e: int) -> list[int]:
@@ -240,9 +274,11 @@ class WarmLP:
         """Minimise cost over the allowed columns: Dantzig's rule with a
         fallback to Bland's rule after a degenerate pivot.
 
-        `cost` holds ints or Fractions, one per column.  `allowed` lists
-        column indices in increasing order and must hold every basic column;
-        the others stay nonbasic at 0.  Returns None on optimality, or the
+        `cost` holds ints or Fractions, one per column.  `allowed` lists the
+        columns that may enter, in increasing order; a nonbasic column
+        outside it stays at 0.  Phase 1 allows the structural columns only,
+        so a basic artificial is outside it; phase 2 and the support rounds
+        allow every basic column.  Returns None on optimality, or the
         entering column index on unboundedness (no positive pivot entry in
         that column).  `red` is d * L * (cost - c_B B^-1 A), L the lcm of
         the cost denominators: built once here and updated by every pivot,
@@ -251,11 +287,13 @@ class WarmLP:
         The entering column has the most negative reduced cost (the first
         such), except after a degenerate pivot (the leaving row's rhs is 0),
         when it is the first negative one, until a pivot moves the point
-        again; the leaving row has the least ratio, ties to the least basic
-        column.  So every run of degenerate pivots is Bland's rule from its
-        second pivot on, which never repeats a basis (Bland 1977), and so
-        ends; each nondegenerate pivot strictly lowers the objective, so no
-        basis from before it comes back, and the run ends.
+        again; the leaving row has the least ratio, ties to an artificial,
+        else to the least basic column (_leaving).  So every run of
+        degenerate pivots is Bland's rule, with the artificials ordered
+        first, from its second pivot on, which never repeats a basis (Bland
+        1977; in phase 1 see _phase1), and so ends; each nondegenerate pivot
+        strictly lowers the objective, so no basis from before it comes
+        back, and the run ends.
         """
         costs, _ = int_scaled(cost)
         red = [self.d * c for c in costs] + [0]
@@ -276,24 +314,34 @@ class WarmLP:
                 enter = enter if enter >= 0 and red[enter] < 0 else -1
             if enter < 0:
                 return None
-            leave = -1
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    if leave < 0:
-                        leave, best = i, row
-                        continue
-                    # rhs_i / a_i against rhs_l / a_l, cross-multiplied;
-                    # each row's denominator cancels in its own ratio
-                    lhs, rhs = row[-1] * best[enter], best[-1] * a
-                    if lhs < rhs or (
-                        lhs == rhs and self.basis[i] < self.basis[leave]
-                    ):
-                        leave, best = i, row
+            leave = self._leaving(enter)
             if leave < 0:
                 return enter
-            bland = best[-1] == 0  # a degenerate pivot: the point stays
+            bland = self.rows[leave][-1] == 0  # a degenerate pivot
             self.pivot(leave, enter)
+
+    def _leaving(self, enter: int) -> int:
+        """The ratio test of column `enter`: the row of least ratio among
+        those with a positive entry there, or -1 if there is none.  Ties go
+        to the basic column first in the order artificials, then structural
+        columns, each by index: the rank (b - n) mod width."""
+        n, width, basis = self.n, self.width, self.basis
+        leave = -1
+        for i, row in enumerate(self.rows):
+            a = row[enter]
+            if a > 0:
+                if leave < 0:
+                    leave, best = i, row
+                    continue
+                # rhs_i / a_i against rhs_l / a_l, cross-multiplied; each
+                # row's denominator cancels in its own ratio
+                lhs, rhs = row[-1] * best[enter], best[-1] * a
+                if lhs < rhs or (
+                    lhs == rhs
+                    and (basis[i] - n) % width < (basis[leave] - n) % width
+                ):
+                    leave, best = i, row
+        return leave
 
     def witness(self, enter: Optional[int]) -> dict[int, int]:
         """The basic solution, plus the ray of structural column `enter`

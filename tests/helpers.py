@@ -6,13 +6,15 @@ four-pass BLP builder and the star point's arithmetic in Fractions.  These
 never share code with the solver paths they check; the witness-search
 reference shares only the LP solver, which has its own oracle above, and
 the star-point reference only the simplex and its support rounds.  A test
-that writes a program densely builds it through one converter, dense_lp."""
+that writes a program densely builds it through one converter, dense_lp,
+and one that counts pivots records them through counting_pivots."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,6 +138,30 @@ def dense_pivot(tab, r, c):
         tab.red_den = p
     tab.d = p
     tab.basis[r] = c
+
+
+class Pivot(NamedTuple):
+    """One pivot of a WarmLP: the entering column, the basic column that
+    leaves, and whether the pivot row's rhs is 0 (a degenerate pivot)."""
+
+    enter: int
+    leave: int
+    degenerate: bool
+
+
+def counting_pivots(monkeypatch):
+    """Record every WarmLP pivot as a Pivot, in order; a cycling run fails
+    at its 1,000th pivot instead of running forever."""
+    pivots = []
+    original = exactlp.WarmLP.pivot
+
+    def pivot(tab, r, c):
+        pivots.append(Pivot(c, tab.basis[r], tab.rows[r][-1] == 0))
+        assert len(pivots) < 1000, "the simplex cycles"
+        original(tab, r, c)
+
+    monkeypatch.setattr(exactlp.WarmLP, "pivot", pivot)
+    return pivots
 
 
 def box_solutions(A, b, bound):

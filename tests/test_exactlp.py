@@ -8,7 +8,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import dense_lp, dense_pivot, dot, enumerate_vertices, vertex_minimum
+from helpers import (
+    Pivot,
+    counting_pivots,
+    dense_lp,
+    dense_pivot,
+    dot,
+    enumerate_vertices,
+    vertex_minimum,
+)
 from pvcsp import exactlp, generators
 from pvcsp.errors import DimensionMismatch, InfeasibleRegion, UnboundedObjective
 from pvcsp.exactlp import (
@@ -430,15 +438,55 @@ def test_all_slack_program_makes_no_phase1_pivot(monkeypatch):
         [2, F(1, 3), 0],
         [-1, -1, 0, 0, 0],
     )
-    pivots = []
-    original = WarmLP.pivot
-    monkeypatch.setattr(
-        WarmLP, "pivot", lambda tab, r, c: pivots.append(c) or original(tab, r, c)
-    )
+    pivots = counting_pivots(monkeypatch)
     warm = WarmLP(prog)
     assert pivots == [] and warm.basis == [2, 3, 4] and warm.width == 5
     res = warm.minimise()
     assert res.status == OPTIMAL and res.value == F(-1, 3) and pivots
+    assert_warm_matches_vertices(prog, enumerate_vertices(prog))
+
+
+def test_crash_pivot_retires_an_artificial_before_phase_1(monkeypatch):
+    # x0 + x1 = 1, 2 x0 + s1 = 1, x1 + s2 = 3: the first row has no unit
+    # column, so artificial 4 holds it.  x0 is positive there but loses its
+    # ratio test to s1's row; x1 wins its own, so it is pivoted in at once
+    # and phase 1's simplex finds nothing to price (it would enter x0 first)
+    prog = dense_lp(
+        4, [[1, 1, 0, 0], [2, 0, 1, 0], [0, 1, 0, 1]], [1, 1, 3], [1, 0, 0, 0]
+    )
+    pivots = counting_pivots(monkeypatch)
+    runs = []
+    original = WarmLP.run
+    monkeypatch.setattr(
+        WarmLP, "run", lambda tab, *a: runs.append(len(pivots)) or original(tab, *a)
+    )
+    warm = WarmLP(prog)
+    assert pivots == [Pivot(1, 4, False)] and runs == [1]
+    assert warm.basis == [1, 2, 3] and warm.width == 4
+    res = warm.minimise()
+    assert res.status == OPTIMAL and res.point == [0, 1, 1, 2]
+    assert_warm_matches_vertices(prog, enumerate_vertices(prog))
+
+
+def test_ratio_tie_goes_to_the_artificial(monkeypatch):
+    # x0 + 2 x1 = 2, x0 + s = 2: column 0's ratio is 2 in both rows, and
+    # the row of artificial 3 wins it over the row of slack 2
+    prog = dense_lp(3, [[1, 2, 0], [1, 0, 1]], [2, 2], [0, 0, 0])
+    with monkeypatch.context() as m:  # the crash basis, before phase 1
+        m.setattr(WarmLP, "_phase1", lambda tab: None)
+        tab = WarmLP(prog)
+    assert tab.basis == [3, 2] and tab._leaving(0) == 0
+    # x0 + x1 = 1, 3 x0 + x1 + 2 x2 = 4, x0 + s = 1 (artificials 4 and 5):
+    # x2 fits the second row, so a crash pivot takes it; the simplex then
+    # enters x0, whose ratio is 1 in the first row and the last, 4/3 in the
+    # second, and the first row's artificial leaves, not the slack
+    prog = dense_lp(
+        4, [[1, 1, 0, 0], [3, 1, 2, 0], [1, 0, 0, 1]], [1, 4, 1], [0, 1, 0, 0]
+    )
+    pivots = counting_pivots(monkeypatch)
+    warm = WarmLP(prog)
+    assert pivots == [Pivot(2, 5, False), Pivot(0, 4, False)]
+    assert warm.basis == [0, 2, 3] and warm.width == 4
     assert_warm_matches_vertices(prog, enumerate_vertices(prog))
 
 
@@ -468,21 +516,6 @@ BEALE_CYCLE = dense_lp(
 )
 
 
-def counting_pivots(monkeypatch):
-    """Record every pivot as whether it is degenerate (its rhs is 0); a
-    cycling run fails at its 1,000th pivot instead of running forever."""
-    pivots = []
-    original = WarmLP.pivot
-
-    def pivot(tab, r, c):
-        pivots.append(tab.rows[r][-1] == 0)
-        assert len(pivots) < 1000, "the simplex cycles"
-        original(tab, r, c)
-
-    monkeypatch.setattr(WarmLP, "pivot", pivot)
-    return pivots
-
-
 def test_pricing_terminates_on_beales_cycling_lp(monkeypatch):
     # after the first degenerate pivot the Bland fallback takes over, and
     # the run leaves the cycle at Beale's optimum
@@ -492,7 +525,7 @@ def test_pricing_terminates_on_beales_cycling_lp(monkeypatch):
     res = warm.minimise()
     assert res.status == OPTIMAL and res.value == F(-1, 20)
     assert res.value == vertex_minimum(BEALE_CYCLE)
-    assert pivots[0] and len(pivots) < 6
+    assert pivots[0].degenerate and len(pivots) < 6
     # as given, Beale's rows are not int rows, so phase 1 starts elsewhere
     res = solve_lp(BEALE)
     assert res.status == OPTIMAL and res.value == F(-1, 20)
@@ -528,7 +561,36 @@ def test_degenerate_lps_match_vertex_enumeration(monkeypatch):
         optimal += 1
         assert res.status == OPTIMAL and res.value == expected
     assert optimal >= 60
-    assert sum(pivots) >= 200 and sum(pivots) > len(pivots) // 2
+    degenerate = sum(p.degenerate for p in pivots)
+    assert degenerate >= 200 and degenerate > len(pivots) // 2
+
+
+def test_no_artificial_enters_in_phase_1(monkeypatch):
+    # every pivot a tableau makes before it is handed out (crash pivots,
+    # phase 1's simplex and the drive-out) enters a structural column,
+    # though many take an artificial out of the basis
+    pivots = counting_pivots(monkeypatch)
+    rng = random.Random(41)
+    structures = [
+        generators.xor_structure(),
+        generators.horn_structure(),
+        generators.random_structure(rng, 3),
+    ]
+    programs = [
+        build_blp(structures[k % 3], generators.random_instance(rng, structures[k % 3], 6, 6))
+        for k in range(30)
+    ]
+    programs += [rational_lp(rng) for _ in range(60)]
+    programs += [slack_form_lp(rng)[0] for _ in range(60)]
+    programs += [degenerate_lp(rng) for _ in range(60)]
+    left = entered = 0
+    for prog in programs:
+        del pivots[:]
+        WarmLP(prog)
+        assert all(p.enter < prog.n for p in pivots)
+        left += sum(p.leave >= prog.n for p in pivots)
+        entered += len(pivots)
+    assert left >= 200 and entered > left
 
 
 def test_basic_solutions_checked_in_ints_under_optimise_flag():

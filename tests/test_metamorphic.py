@@ -9,6 +9,11 @@ column order, row order or pivot rule may change it:
   and marginals;
 - a variable that no term uses adds |D| columns and one row to the
   program, and changes nothing else.
+
+A witness search keeps only its verdict under a rewrite of its template:
+relabelling the domain and renaming the symbols reorder its candidates, so
+its LP may end at another vertex, and every measure found must pass its
+checker.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from fractions import Fraction as F
 
 from test_pins import pool
 
-from pvcsp import generators, relax
-from pvcsp.core import NO, YES, Instance, ValuedStructure
+from pvcsp import generators, relax, theory
+from pvcsp.core import NO, YES, Instance, PromiseTemplate, Signature, ValuedStructure
+from pvcsp.theory import BlockPartition
+from pvcsp.values import PLUS_INF
 
 # the first items of the pins' pool (domains 2 and 3, thresholds below, at
 # and above the BLP value), then crisp xor systems, where the AIP says no
@@ -123,3 +130,80 @@ def test_answers_survive_rewrites_mapped():
     assert {(name, v) for name in relax.ENGINES for v in (YES, NO)} <= seen
     assert {None, relax.FEASIBLE_INTERIOR, relax.OPTIMAL_FACE_INTERIOR} <= seen
     assert {True, False} <= seen
+
+
+def rename_template(rng, template):
+    """The template with its domain reordered and relabelled, and its
+    symbols renamed, the same way on both sides."""
+    delta, gamma = template.delta, template.gamma
+    labels = list(delta.domain)
+    rng.shuffle(labels)
+    name = {a: f"d{a}x" for a in delta.domain}
+    symbol = {s: f"{s}r" for s in delta.signature.names()}
+    signature = Signature(tuple((symbol[s], k) for s, k in delta.signature.symbols))
+
+    def renamed(structure):
+        tables = {
+            symbol[s]: {
+                tuple(name[a] for a in t): v for t, v in structure.table(s).items()
+            }
+            for s in structure.signature.names()
+        }
+        return ValuedStructure(signature, [name[a] for a in labels], tables)
+
+    return PromiseTemplate(renamed(delta), renamed(gamma))
+
+
+def partitioned(*sizes):
+    partition = BlockPartition.from_sizes(list(sizes))
+    return lambda tpl: theory.find_promise_fpol_lp(tpl, partition.arity, partition=partition)
+
+
+# (domain size, search); the unrestricted m = 2 and m = 3 searches on
+# domain 2 only, since on domain 3 an m = 2 LP has thousands of columns
+SEARCHES = (
+    (2, lambda tpl: theory.find_frachom_lp(tpl.delta, tpl.gamma)),
+    (2, lambda tpl: theory.find_promise_fpol_lp(tpl, 2)),
+    (2, lambda tpl: theory.find_promise_fpol_lp(tpl, 3)),
+    (2, partitioned(2)),
+    (2, partitioned(1, 1)),
+    (2, partitioned(3)),
+    (2, partitioned(2, 1)),
+    (3, lambda tpl: theory.find_frachom_lp(tpl.delta, tpl.gamma)),
+    (3, partitioned(2)),
+)
+TEMPLATES = 20
+
+
+def valid(result, template):
+    if isinstance(result, theory.PromiseFpol):
+        return theory.check_promise_fpol(result, template)[0]
+    return theory.check_fractional_homomorphism(result, template.delta, template.gamma)[0]
+
+
+def test_witness_verdicts_survive_relabelling():
+    # Gamma weakened from Delta, or drawn afresh, so both verdicts occur
+    rng = random.Random(13)
+    costs = [F(0), F(1, 2), F(1), F(2), PLUS_INF]
+    verdicts = {True: 0, False: 0}
+    for size, search in SEARCHES:
+        for _ in range(TEMPLATES):
+            delta = generators.random_structure(rng, size)
+            if rng.random() < 0.5:
+                gamma = generators.weaken_structure(rng, delta)
+            else:
+                tables = {
+                    s: {t: rng.choice(costs) for t in delta.table(s)}
+                    for s in delta.signature.names()
+                }
+                gamma = ValuedStructure(delta.signature, delta.domain, tables)
+            template = PromiseTemplate(delta, gamma)
+            renamed = rename_template(rng, template)
+            results = [search(template), search(renamed)]
+            found = [r != theory.NONE_EXISTS for r in results]
+            assert found[0] == found[1]
+            verdicts[found[0]] += 1
+            for r, tpl in zip(results, (template, renamed)):
+                if r != theory.NONE_EXISTS:
+                    assert valid(r, tpl)
+    assert min(verdicts.values()) >= 40

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import full_multiset_cost, table_reference_search
+from helpers import counting_pivots, full_multiset_cost, table_reference_search
 
 from pvcsp import exactlp, generators, theory
 from pvcsp.core import (
@@ -561,6 +561,20 @@ def test_witness_search_invariant_under_cost_shift():
                 if r != NONE_EXISTS:
                     assert valid_on(r, templates[0]) and valid_on(r, templates[1])
     assert min(found.values()) >= 10 and negative >= 30
+
+
+def test_domain3_search_pivots_in_a_feasible_point_mass(monkeypatch):
+    # the unrestricted m = 2 search on a domain-3 template builds an LP of
+    # thousands of candidate columns; some candidate's point mass is
+    # feasible on its own, so a crash pivot on the normalisation row ends
+    # phase 1 (a blind Dantzig start took 990 pivots and about a minute)
+    rng = random.Random(1008)
+    delta = generators.random_structure(rng, domain_size=3)
+    template = PromiseTemplate(delta, generators.weaken_structure(rng, delta))
+    pivots = counting_pivots(monkeypatch)
+    result = find_promise_fpol_lp(template, 2)
+    assert result != NONE_EXISTS and check_promise_fpol(result, template)[0]
+    assert len(pivots) <= 3
 
 
 def reference_template(rng, domain_size, allow_inf, n_symbols=2):
