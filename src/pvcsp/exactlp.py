@@ -217,8 +217,10 @@ class WarmLP:
         arts = [t for t, b in enumerate(basis) if b >= n]
         for t in arts:
             row = rows[t]
+            if not row[-1]:
+                continue
             others = [rows[s] for s in arts if basis[s] >= n and s != t]
-            for j in range(n) if row[-1] else ():
+            for j in range(n):
                 fits = row[j] > 0 and not any(other[j] for other in others)
                 if fits and self._leaving(j) == t:
                     self.pivot(t, j)

@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -77,10 +78,16 @@ class BlockPartition:
         return tuple(len(b) for b in self.blocks)
 
 
-@dataclass(frozen=True, slots=True)
+# one live PromiseFpol with uniform input weights per output measure, so
+# the results that callers keep share them, as they share measures and tables
+_UNIFORM: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True)
 class PromiseFpol:
     """A pair (input projection weights, output operation measure)."""
 
+    __slots__ = ("input_weights", "output", "__weakref__")
     input_weights: tuple[Fraction, ...]
     output: FiniteMeasure
 
@@ -99,7 +106,11 @@ class PromiseFpol:
 
     @classmethod
     def uniform_input(cls, output: FiniteMeasure) -> "PromiseFpol":
-        return cls(_uniform_weights(output.support()[0].arity), output)
+        fpol = _UNIFORM.get(output)
+        if fpol is None:
+            weights = _uniform_weights(output.support()[0].arity)
+            fpol = _UNIFORM[output] = cls(weights, output)
+        return fpol
 
 
 @functools.cache

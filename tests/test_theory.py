@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -746,6 +748,20 @@ def test_uniform_input_shares_weights():
     assert sum(first.input_weights) == 1 and first.input_weights == (F(1, 2),) * 2
     third = PromiseFpol.uniform_input(FiniteMeasure.point_mass(IDENTITY))
     assert third.input_weights == (F(1),)
+
+
+def test_uniform_input_is_one_object_per_measure():
+    # like measures and tables, a kept search result is shared by every
+    # search that returns it; a dropped one is released
+    first = PromiseFpol.uniform_input(FiniteMeasure.point_mass(MIN2))
+    assert PromiseFpol.uniform_input(FiniteMeasure.point_mass(MIN2)) is first
+    assert first == PromiseFpol((F(1, 2), F(1, 2)), first.output)
+    other = PromiseFpol.uniform_input(FiniteMeasure.point_mass(MAX2))
+    assert other is not first and other != first
+    released = weakref.ref(other)
+    del other
+    gc.collect()
+    assert released() is None
 
 
 def test_find_fpol_needs_positive_arity():
