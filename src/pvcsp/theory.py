@@ -10,7 +10,9 @@ The search works on block-multiset elements: a candidate is its tuple of
 outputs, one per element, constraints with the same element tuple share
 one LP row with the least rhs, and tables are built only for the support.
 Those rows are the finite entries of the block-multiset structure, and one
-helper, `_element_costs`, computes the least costs for both.
+helper, `_element_costs`, computes the least costs for both, as ints over
+one scale.  The search is in ints from the cost tables to the tableau, and
+makes Fractions only for the weights of the measure it finds.
 
 Every checker is a full exhaustive enumeration guarded by a hard cap;
 exactness over scale.  Measures collapse equal tables by summing weights,
@@ -52,23 +54,16 @@ class BlockPartition:
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("partition has no blocks")
-        seen: list[int] = []
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            seen.extend(block)
-        m = len(seen)
-        if sorted(seen) != list(range(m)):
+        if not all(self.blocks):
+            raise ValueError("empty block")
+        seen = sorted(itertools.chain.from_iterable(self.blocks))
+        if seen != list(range(len(seen))):
             raise ValueError("blocks must partition range(m) exactly")
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[int]) -> "BlockPartition":
-        blocks = []
-        start = 0
-        for s in sizes:
-            blocks.append(tuple(range(start, start + s)))
-            start += s
-        return cls(tuple(blocks))
+        ends = itertools.accumulate(sizes)
+        return cls(tuple(tuple(range(e - s, e)) for s, e in zip(sizes, ends)))
 
     @property
     def arity(self) -> int:
@@ -314,32 +309,38 @@ def _element_costs_size(
 
 def _element_costs(
     delta: ValuedStructure, partition: BlockPartition
-) -> tuple[dict[tuple[str, ...], int], dict[tuple[str, tuple[int, ...]], Fraction]]:
-    """The element index of each tuple in D^m, and for each (symbol,
-    element index of each argument position) the least Delta-cost sum of
-    the m argument tuples that realise it; a key whose every realisation
-    costs +inf is left out.  Over m these sums are the finite costs of the
-    block-multiset structure.
+) -> tuple[dict[tuple[str, ...], int], dict[tuple[str, tuple[int, ...]], int], int]:
+    """The element index of each tuple in D^m, for each (symbol, element
+    index of each argument position) the least Delta-cost sum of the m
+    argument tuples that realise it, and the scale those int sums are over:
+    Delta's finite costs are scaled once, by `int_scaled`.  A key whose
+    every realisation costs +inf is left out.  Over m these sums are the
+    finite costs of the block-multiset structure.
 
     The first position ranges over one canonical tuple per element: a
     block-preserving permutation of the m coordinates, applied at every
     position at once, keeps each position's element and the sum, and takes
     any realisation of the first element to its canonical tuple.
     """
+    m = partition.arity
     elements, element_of = _element_index(delta.domain, partition)
     firsts = [_canonical(e, partition) for e in elements]
-    sums: dict[tuple[str, tuple[int, ...]], Fraction] = {}
-    for symbol, arity in delta.signature.symbols:
-        cost = delta.table(symbol).__getitem__
+    tables = [delta.table(symbol).items() for symbol in delta.signature.names()]
+    ints, scale = int_scaled([c for t in tables for _, c in t if c is not PLUS_INF])
+    # +inf reads as inf, so a sum of m costs is over top iff one is +inf
+    top = m * max(ints, default=0)
+    inf = top - (m - 1) * min(ints, default=0) + 1
+    scaled = iter(ints)  # in table order
+    sums: dict[tuple[str, tuple[int, ...]], int] = {}
+    for (symbol, arity), table in zip(delta.signature.symbols, tables):
+        cost = {t: inf if c is PLUS_INF else next(scaled) for t, c in table}.__getitem__
         for i, first in enumerate(firsts):
             for rest in itertools.product(element_of, repeat=arity - 1):
-                total = sum(map(cost, zip(first, *rest)), Fraction(0))
-                if total is PLUS_INF:
-                    continue
-                key = (symbol, (i, *[element_of[p] for p in rest]))
-                if key not in sums or total < sums[key]:
-                    sums[key] = total
-    return element_of, sums
+                total = sum(map(cost, zip(first, *rest)))
+                if total <= top:
+                    key = (symbol, (i, *map(element_of.__getitem__, rest)))
+                    sums[key] = min(sums.get(key, total), total)
+    return element_of, sums, scale
 
 
 def block_multiset_structure(
@@ -356,16 +357,13 @@ def block_multiset_structure(
     if work > cap:
         raise ResourceGuard(f"multiset structure: {work} tuples over cap {cap}")
     labels = _labels(block_multiset_domain(delta.domain, partition))
-    _, sums = _element_costs(delta, partition)
-    tables = {}
+    _, sums, scale = _element_costs(delta, partition)
+    tables = {symbol: {} for symbol in delta.signature.names()}
     for symbol, arity in delta.signature.symbols:
-        table = {}
         for key in itertools.product(range(len(labels)), repeat=arity):
-            total = sums.get((symbol, key), PLUS_INF)
-            table[tuple([labels[i] for i in key])] = (
-                total if total is PLUS_INF else total / m
-            )
-        tables[symbol] = table
+            total = sums.get((symbol, key))
+            cost = PLUS_INF if total is None else Fraction(total, scale * m)
+            tables[symbol][tuple([labels[i] for i in key])] = cost
     return ValuedStructure(delta.signature, labels, tables)
 
 
@@ -452,70 +450,72 @@ def _search(
     rhs, applies the operation at each position, so its image depends only
     on each position's element: one row per (symbol, element tuple) keeps
     the least rhs, the finite cost of that entry of the block-multiset
-    structure.  Column entries are small ints indexing Gamma's distinct
-    costs; a candidate with a +inf image is dropped, and equal columns are
-    kept once, by their first candidate.  With a slack per row, scaled by
-    the row's lcm so that the slack is 1, the LP is a pure feasibility solve
-    in ints.  Tables are built only for the support of its solution.
+    structure.  A candidate with a +inf image is dropped, and equal columns
+    are kept once, by their first candidate.
+
+    The LP is in ints from the cost tables on: Delta's sums come as ints
+    over its scale, and Gamma's distinct finite costs are scaled once by
+    `int_scaled`, so row j holds Gamma's int times Delta's scale times m
+    and its sum times Gamma's lcm as rhs, both over the row's gcd, and a
+    slack of 1.  Tables, and weights as Fractions of the LP's witness, are
+    built for its support only.
     """
     delta, gamma = template.delta, template.gamma
-    size = _element_count(len(delta.domain), partition)
-    # |Gamma|^size tables; past cap's bit length the power is over any cap
-    count = len(gamma.domain) ** min(size, cap.bit_length() + 1)
+    q, size = len(gamma.domain), _element_count(len(delta.domain), partition)
+    # q^size tables; past cap's bit length the power is over any cap
+    count = q ** min(size, cap.bit_length() + 1)
     if count > cap:
-        raise ResourceGuard(
-            f"{len(gamma.domain)}^{size} block-symmetric tables exceed cap {cap}"
-        )
+        raise ResourceGuard(f"{q}^{size} block-symmetric tables exceed cap {cap}")
     # the tuples _element_costs visits, then each candidate reads its rows
     tuples, rows = _element_costs_size(delta, partition)
     work = tuples + count * rows
     if work > cap:
         raise ResourceGuard(f"polymorphism search: {work} steps over cap {cap}")
     m = partition.arity
-    element_of, sums = _element_costs(delta, partition)
+    element_of, sums, scale = _element_costs(delta, partition)
     ids: dict = {PLUS_INF: -1}  # +inf is -1, a finite cost its position
-    outs = range(len(gamma.domain))
-    cost_ids = {}  # per symbol, keyed as a row's itemgetter reads the outputs
+    outs = range(q)
+    cost_ids = {}  # per symbol, read at the outputs a row's itemgetter takes
     for symbol, arity in delta.signature.symbols:
         table = gamma.table(symbol)
         cost_ids[symbol] = {
             (key[0] if arity == 1 else key): ids.setdefault(
-                table[tuple(gamma.domain[b] for b in key)], len(ids)
+                table[tuple(gamma.domain[b] for b in key)], len(ids) - 1
             )
             for key in itertools.product(outs, repeat=arity)
-        }
-    readers = [
-        (cost_ids[symbol], operator.itemgetter(*elems)) for symbol, elems in sums
-    ]
-    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for outputs in itertools.product(outs, repeat=size):
-        column = tuple([table[read(outputs)] for table, read in readers])
-        if -1 not in column:
-            reps.setdefault(column, outputs)
-    if not reps:
+        }.__getitem__
+    ints, lcm = int_scaled(list(ids)[1:])
+    entry = [g * scale * m for g in ints]  # a row's entry by cost id
+    # each row's cost ids over the candidates (count of them, under the
+    # guard), last first, so that dict() keeps each column's first one
+    back = functools.partial(itertools.product, outs[::-1], repeat=size)
+    reads = [map(cost_ids[s], map(operator.itemgetter(*e), back())) for s, e in sums]
+    columns = zip(*reads) if reads else itertools.repeat((), count)  # no rows
+    first = dict(zip(columns, range(count - 1, -1, -1)))
+    kept = sorted((i, column) for column, i in first.items() if -1 not in column)
+    if not kept:
         return NONE_EXISTS
-    costs = list(ids)
-    n, k = len(reps), len(sums)
+    index, columns = zip(*kept)
+    n, k = len(index), len(sums)
     rows, rhs = [dict.fromkeys(range(n), 1)], [1]
-    for j, (entries, total) in enumerate(zip(zip(*reps), sums.values())):
-        bound = total / m
-        used = set(entries)
-        ints, _ = int_scaled([*(costs[c] for c in used), bound])
-        scaled = dict(zip(used, ints))
-        row = exactlp.sparse_row([scaled[c] for c in entries])
-        row[n + j] = 1
-        rows.append(row)
-        rhs.append(ints[-1])
-    lp = exactlp.LinearProgram(n + k, rows, rhs, [0] * (n + k))
-    res = exactlp.solve_lp(lp)
+    for j, (ids_j, total) in enumerate(zip(zip(*columns), sums.values()), n):
+        # a row over the gcd of its ints keeps the tableau's ints small
+        f = math.gcd(total * lcm, *map(entry.__getitem__, set(ids_j))) or 1
+        reduced = [a // f for a in entry]
+        rows.append({**exactlp.sparse_row(list(map(reduced.__getitem__, ids_j))), j: 1})
+        rhs.append(total * lcm // f)
+    del first, kept, columns
+    res = exactlp.solve_lp(exactlp.LinearProgram(n + k, rows, rhs, [0] * (n + k)))
     if res.status != exactlp.OPTIMAL:
         return NONE_EXISTS
+    d, basic = res.witness
     pairs = []
-    for outputs, x in zip(reps.values(), res.point):
-        if x > 0:
-            mapping = {a: gamma.domain[outputs[i]] for a, i in element_of.items()}
-            g = OperationTable.from_map(delta.domain, gamma.domain, m, mapping)
-            pairs.append((g, x))
+    for j in sorted(j for j in basic if j < n):
+        # candidate i's outputs are the digits of i, base |Gamma|
+        outputs = [index[j] // q**e % q for e in reversed(range(size))]
+        mapping = {a: gamma.domain[outputs[e]] for a, e in element_of.items()}
+        g = OperationTable.from_map(delta.domain, gamma.domain, m, mapping)
+        pairs.append((g, Fraction(basic[j], d)))
     return FiniteMeasure.from_pairs(pairs)
 
 
