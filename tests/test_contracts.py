@@ -168,6 +168,46 @@ def test_denominators_are_scaled_only_by_int_scaled():
     assert found == []
 
 
+def test_witness_search_is_in_ints_up_to_its_weights(monkeypatch):
+    # from the cost tables to the tableau the witness search divides only
+    # with // on ints: no true division, and no Fraction but the measure's
+    # weights, built from the LP's witness (ints over its d) once it is read
+    source = (ROOT / "src" / "pvcsp" / "theory.py").read_text(encoding="utf-8")
+    nodes = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+
+    def lines(name, match):
+        return [sub.lineno for sub in ast.walk(nodes[name]) if match(sub)]
+
+    def divides(node):
+        return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+
+    def makes_fraction(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+
+    def reads_witness(node):
+        return isinstance(node, ast.Attribute) and node.attr == "witness"
+
+    assert lines("_element_costs", divides) == lines("_search", divides) == []
+    assert lines("_element_costs", makes_fraction) == []
+    (weights,) = lines("_search", makes_fraction)
+    assert weights > min(lines("_search", reads_witness))
+    # at run time: one Fraction of ints per table in the measure's support
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(theory, "Fraction", counted)
+    rng = random.Random(7)
+    delta = generators.random_structure(rng)
+    template = PromiseTemplate(delta, generators.weaken_structure(rng, delta))
+    found = theory._search(template, theory.BlockPartition.from_sizes([1, 1]), 10**6)
+    assert found != theory.NONE_EXISTS
+    assert len(made) == len(found.support()) > 1
+    assert all(type(a) is int for args in made for a in args)
+
+
 def test_no_unused_imports_in_package():
     # every name a module imports is read in it; __init__.py only re-exports
     found = []

@@ -8,12 +8,15 @@ column order, row order or pivot rule may change it:
 - reordering and renaming the domain labels renames the eliminated tuples
   and marginals;
 - a variable that no term uses adds |D| columns and one row to the
-  program, and changes nothing else.
+  program, and changes nothing else;
+- scaling every finite cost and the threshold by q > 0 scales the BLP and
+  AIP values by q, and changes nothing else.
 
 A witness search keeps only its verdict under a rewrite of its template:
-relabelling the domain and renaming the symbols reorder its candidates, so
-its LP may end at another vertex, and every measure found must pass its
-checker.
+relabelling the domain and renaming the symbols reorder its candidates, and
+scaling every finite cost of both sides by q > 0 scales both sides of every
+constraint, so its LP may end at another vertex, and every measure found
+must pass its checker.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from test_pins import pool
 from pvcsp import generators, relax, theory
 from pvcsp.core import NO, YES, Instance, PromiseTemplate, Signature, ValuedStructure
 from pvcsp.theory import BlockPartition
-from pvcsp.values import PLUS_INF
+from pvcsp.values import PLUS_INF, is_finite
 
 # the first items of the pins' pool (domains 2 and 3, thresholds below, at
 # and above the BLP value), then crisp xor systems, where the AIP says no
@@ -47,15 +50,19 @@ def answers(delta, instance):
     return {name: engine(delta, instance) for name, engine in relax.ENGINES.items()}
 
 
-def mapped(answer, key=lambda k: k, size=(0, 0)):
-    """The answer's fields, its eliminated columns through `key` as a set
-    and its program size grown by `size`."""
+def scaled_value(value, q):
+    return value * q if value is not None and is_finite(value) else value
+
+
+def mapped(answer, key=lambda k: k, size=(0, 0), q=1):
+    """The answer's fields, its values times q, its eliminated columns
+    through `key` as a set and its program size grown by `size`."""
     columns, rows = answer.program_size
     return (
         answer.verdict,
-        answer.blp_value,
+        scaled_value(answer.blp_value, q),
         answer.star_provenance,
-        answer.aff_value,
+        scaled_value(answer.aff_value, q),
         {key(k) for k in answer.eliminated},
         (columns + size[0], rows + size[1]),
     )
@@ -132,6 +139,36 @@ def test_answers_survive_rewrites_mapped():
     assert {True, False} <= seen
 
 
+# cost scales: each takes the finite costs to new denominators or numerators
+SCALES = (F(1, 6), F(5, 3), F(7))
+
+
+def scaled_structure(structure, q):
+    """The structure with every finite cost times q; +inf stays."""
+    tables = {
+        s: {t: v * q if is_finite(v) else v for t, v in structure.table(s).items()}
+        for s in structure.signature.names()
+    }
+    return ValuedStructure(structure.signature, structure.domain, tables)
+
+
+def test_answers_scale_with_the_costs():
+    # every finite cost and the threshold times q: the BLP and AIP values
+    # times q; verdict, provenance, eliminated columns and size equal
+    seen = set()
+    for k, (delta, instance) in enumerate(instances()):
+        q = SCALES[k % len(SCALES)]
+        scaled = Instance(instance.variables, instance.terms, instance.threshold * q)
+        before = answers(delta, instance)
+        after = answers(scaled_structure(delta, q), scaled)
+        for name, answer in before.items():
+            assert mapped(after[name]) == mapped(answer, q=q), (k, name, q)
+            seen.add((name, answer.verdict))
+            seen.add(answer.star_provenance)
+    assert {(name, v) for name in relax.ENGINES for v in (YES, NO)} <= seen
+    assert {None, relax.FEASIBLE_INTERIOR, relax.OPTIMAL_FACE_INTERIOR} <= seen
+
+
 def rename_template(rng, template):
     """The template with its domain reordered and relabelled, and its
     symbols renamed, the same way on both sides."""
@@ -181,23 +218,24 @@ def valid(result, template):
     return theory.check_fractional_homomorphism(result, template.delta, template.gamma)[0]
 
 
-def test_witness_verdicts_survive_relabelling():
-    # Gamma weakened from Delta, or drawn afresh, so both verdicts occur
-    rng = random.Random(13)
+def random_template(rng, size):
+    """Gamma weakened from Delta, or drawn afresh, so both verdicts occur."""
+    delta = generators.random_structure(rng, size)
+    if rng.random() < 0.5:
+        return PromiseTemplate(delta, generators.weaken_structure(rng, delta))
     costs = [F(0), F(1, 2), F(1), F(2), PLUS_INF]
+    tables = {
+        s: {t: rng.choice(costs) for t in delta.table(s)} for s in delta.signature.names()
+    }
+    return PromiseTemplate(delta, ValuedStructure(delta.signature, delta.domain, tables))
+
+
+def test_witness_verdicts_survive_relabelling():
+    rng = random.Random(13)
     verdicts = {True: 0, False: 0}
     for size, search in SEARCHES:
         for _ in range(TEMPLATES):
-            delta = generators.random_structure(rng, size)
-            if rng.random() < 0.5:
-                gamma = generators.weaken_structure(rng, delta)
-            else:
-                tables = {
-                    s: {t: rng.choice(costs) for t in delta.table(s)}
-                    for s in delta.signature.names()
-                }
-                gamma = ValuedStructure(delta.signature, delta.domain, tables)
-            template = PromiseTemplate(delta, gamma)
+            template = random_template(rng, size)
             renamed = rename_template(rng, template)
             results = [search(template), search(renamed)]
             found = [r != theory.NONE_EXISTS for r in results]
@@ -207,3 +245,27 @@ def test_witness_verdicts_survive_relabelling():
                 if r != theory.NONE_EXISTS:
                     assert valid(r, tpl)
     assert min(verdicts.values()) >= 40
+
+
+def test_witness_verdicts_survive_cost_scaling():
+    # every finite cost of Delta and Gamma times q scales both sides of
+    # every constraint by q: equal verdicts, and a measure found on either
+    # template passes its checker on both
+    rng = random.Random(29)
+    verdicts = {True: 0, False: 0}
+    for size, search in SEARCHES:
+        for _ in range(TEMPLATES // 2):
+            template = random_template(rng, size)
+            delta, gamma = template.delta, template.gamma
+            templates = [template] + [
+                PromiseTemplate(scaled_structure(delta, q), scaled_structure(gamma, q))
+                for q in SCALES
+            ]
+            results = [search(tpl) for tpl in templates]
+            found = {r != theory.NONE_EXISTS for r in results}
+            assert len(found) == 1
+            verdicts[found.pop()] += 1
+            for r, tpl in zip(results, templates):
+                if r != theory.NONE_EXISTS:
+                    assert valid(r, template) and valid(r, tpl)
+    assert min(verdicts.values()) >= 20

@@ -579,20 +579,23 @@ def test_domain3_search_pivots_in_a_feasible_point_mass(monkeypatch):
     assert len(pivots) <= 3
 
 
+def drawn_structure(rng, delta, pool):
+    """A structure on Delta's signature and domain with costs drawn from pool."""
+    tables = {
+        name: {t: rng.choice(pool) for t in itertools.product(delta.domain, repeat=arity)}
+        for name, arity in delta.signature.symbols
+    }
+    return ValuedStructure(delta.signature, delta.domain, tables)
+
+
 def reference_template(rng, domain_size, allow_inf, n_symbols=2):
     """A random Delta with a Gamma either weakened from it or drawn afresh
     from a pool with +inf, so both verdicts occur."""
     delta = generators.random_structure(rng, domain_size, n_symbols, allow_inf=allow_inf)
     if rng.random() < 0.5:
         return PromiseTemplate(delta, generators.weaken_structure(rng, delta))
-    pool = [F(0), F(1, 2), F(1), F(2), PLUS_INF]
-    tables = {
-        name: {t: rng.choice(pool) for t in itertools.product(delta.domain, repeat=arity)}
-        for name, arity in delta.signature.symbols
-    }
-    return PromiseTemplate(
-        delta, ValuedStructure(delta.signature, delta.domain, tables)
-    )
+    gamma = drawn_structure(rng, delta, [F(0), F(1, 2), F(1), F(2), PLUS_INF])
+    return PromiseTemplate(delta, gamma)
 
 
 # (arity m, block sizes, domain size, symbols): m None is frachom, sizes
@@ -601,6 +604,18 @@ REFERENCE_SHAPES = (
     (2, (2,), 2, 2), (2, (1, 1), 2, 2), (3, (3,), 2, 2), (3, (2, 1), 2, 2),
     (2, None, 2, 2), (None, None, 2, 2), (2, (2,), 3, 1),
 )
+
+
+def search_and_reference(template, m, sizes):
+    """The element search's result for one shape (m None: frachom; sizes
+    None: unrestricted), its partition, and the table reference's result."""
+    if m is None:
+        partition = BlockPartition(((0,),))
+        found = find_frachom_lp(template.delta, template.gamma)
+    else:
+        partition = BlockPartition.from_sizes(sizes or (1,) * m)
+        found = find_promise_fpol_lp(template, m, partition=partition if sizes else None)
+    return found, partition, table_reference_search(template, partition)[0]
 
 
 def test_element_search_matches_table_reference():
@@ -612,15 +627,7 @@ def test_element_search_matches_table_reference():
     for case in range(210):
         m, sizes, d, symbols = REFERENCE_SHAPES[case % len(REFERENCE_SHAPES)]
         template = reference_template(rng, d, rng.random() < 0.5, symbols)
-        if m is None:
-            partition = BlockPartition(((0,),))
-            found = find_frachom_lp(template.delta, template.gamma)
-        else:
-            partition = BlockPartition.from_sizes(sizes or (1,) * m)
-            found = find_promise_fpol_lp(
-                template, m, partition=partition if sizes else None
-            )
-        expected, _ = table_reference_search(template, partition)
+        found, partition, expected = search_and_reference(template, m, sizes)
         none = found == NONE_EXISTS
         assert none == (expected == NONE_EXISTS), (case, m, sizes, d)
         verdicts[none] += 1
@@ -635,6 +642,74 @@ def test_element_search_matches_table_reference():
             for g in found.output.support():
                 assert check_block_symmetry(g, partition)
     assert min(verdicts.values()) >= 30
+
+
+def test_search_with_no_finite_delta_cost_returns_a_measure(monkeypatch):
+    # every Delta cost +inf: no constraint has a finite rhs, so the LP is
+    # the normalisation row alone, every candidate a witness; the search
+    # returns the reference's point mass on the first table
+    rng = random.Random(89)
+    lps = capture_lps(monkeypatch)
+    for m, sizes, d, symbols in REFERENCE_SHAPES:
+        delta = generators.random_structure(rng, d, symbols)
+        delta = drawn_structure(rng, delta, [PLUS_INF])
+        gamma = drawn_structure(rng, delta, [F(0), F(1, 2), F(2), PLUS_INF])
+        template = PromiseTemplate(delta, gamma)
+        lps.clear()
+        found, _, expected = search_and_reference(template, m, sizes)
+        assert found != NONE_EXISTS and valid_on(found, template)
+        assert (found if m is None else found.output) == expected
+        assert len(lps[0].rows) == 1 == len(lps[-1].rows)
+
+
+def test_search_matches_reference_on_gamma_denominators_2_and_3():
+    # Gamma's costs over 2, 3 and 6 against Delta's over 2 and 3: Gamma's
+    # lcm and Delta's scale both enter every row
+    rng = random.Random(97)
+    pool = [F(0), F(1, 2), F(1, 3), F(2, 3), F(5, 6), F(1), F(4, 3), PLUS_INF]
+    verdicts = {True: 0, False: 0}
+    for case in range(70):
+        m, sizes, d, symbols = REFERENCE_SHAPES[case % len(REFERENCE_SHAPES)]
+        delta = drawn_structure(rng, generators.random_structure(rng, d, symbols), pool)
+        template = PromiseTemplate(delta, drawn_structure(rng, delta, pool))
+        found, _, expected = search_and_reference(template, m, sizes)
+        assert (found == NONE_EXISTS) == (expected == NONE_EXISTS), case
+        verdicts[found == NONE_EXISTS] += 1
+        assert found == NONE_EXISTS or valid_on(found, template)
+    assert min(verdicts.values()) >= 15
+
+
+def test_search_matches_reference_on_negative_delta_costs(monkeypatch):
+    # negative Delta costs give rows with rhs < 0: the tableau flips them,
+    # their slack is then -1, and phase 1 starts them from an artificial
+    rng = random.Random(101)
+    pool = [F(-2), F(-1), F(-1, 2), F(-1, 3), F(0), F(1, 2), PLUS_INF]
+    lps = capture_lps(monkeypatch)
+    pivots = counting_pivots(monkeypatch)
+    verdicts = {True: 0, False: 0}
+    negative = 0
+    shapes = [shape for shape in REFERENCE_SHAPES if shape[2] == 2]  # domain 3: slow
+    for case in range(72):
+        m, sizes, d, symbols = shapes[case % len(shapes)]
+        delta = drawn_structure(rng, generators.random_structure(rng, d, symbols), pool)
+        if case % 2:
+            gamma = generators.weaken_structure(rng, delta)
+        else:
+            gamma = drawn_structure(rng, delta, pool)
+        template = PromiseTemplate(delta, gamma)
+        lps.clear()
+        found, _, expected = search_and_reference(template, m, sizes)
+        assert (found == NONE_EXISTS) == (expected == NONE_EXISTS), case
+        verdicts[found == NONE_EXISTS] += 1
+        assert found == NONE_EXISTS or valid_on(found, template)
+        # lps[0] is the element search's LP.  A flipped row's artificial
+        # starts positive, so on a feasible LP it leaves the basis
+        if found != NONE_EXISTS and min(lps[0].rhs) < 0:
+            negative += 1
+            pivots.clear()
+            exactlp.WarmLP(lps[0])
+            assert any(p.leave >= lps[0].n for p in pivots), case
+    assert min(verdicts.values()) >= 20 and negative >= 30
 
 
 # (domain size, block sizes) of the two-path equivalence check
