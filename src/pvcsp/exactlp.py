@@ -5,10 +5,11 @@ by Dantzig's rule and falls back to Bland's rule after a degenerate pivot,
 so it never cycles.  Phase 1 retires its artificials as soon as it can: a
 crash pivot hands each artificial row with rhs > 0 to a structural column
 that fits it, a ratio tie goes to an artificial, and an artificial that has
-left never re-enters.  A program's rows are its one row format: each row is
-its nonzero int entries by column, with an int rhs; the objective may hold
-Fractions.  Outputs are Fractions, or ints over one denominator where a
-caller does the rest of its arithmetic in ints.  A program names the rows a
+left never re-enters.  A program is ints in one format from its builder on:
+each row its nonzero int entries by column, with an int rhs, and the
+objective dense ints over one positive int scale, which no reader scales
+again.  Outputs are Fractions, or ints over one denominator where a caller
+does the rest of its arithmetic in ints.  A program names the rows a
 tableau holds (`LinearProgram.held`, all of them unless it knows some to be
 implied).
 Also provides the relative-interior machinery: a support profile (which
@@ -20,10 +21,10 @@ one tableau; `divided` makes Fractions of ints over a denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -31,13 +32,8 @@ from .errors import (
     InvariantViolated,
     UnboundedObjective,
 )
-from .values import int_scaled
 
 ZERO = Fraction(0)
-
-
-Rational = Union[int, Fraction]
-
 
 # a row: its nonzero int entries by column
 Row = dict[int, int]
@@ -50,17 +46,20 @@ def sparse_row(ints: Sequence[int]) -> Row:
 
 @dataclass
 class LinearProgram:
-    """min objective . x subject to rows . x = rhs and x >= 0."""
+    """min (objective / scale) . x subject to rows . x = rhs and x >= 0:
+    column j costs objective[j] / scale."""
 
     n: int
     rows: list[Row]
     rhs: list[int]
-    objective: list[Rational]
+    objective: list[int]
+    _: KW_ONLY
+    scale: int = 1
 
     def __post_init__(self):
-        """The one check of the row format, in C-speed passes over all the
-        rows: every key a column, every entry a nonzero int, every rhs an
-        int."""
+        """The one check of the format, in C-speed passes over all the rows:
+        every key a column, every entry a nonzero int, the rhs and the
+        objective ints, the scale a positive int."""
         if len(self.objective) != self.n:
             raise DimensionMismatch("objective length != n")
         if len(self.rows) != len(self.rhs):
@@ -69,9 +68,9 @@ class LinearProgram:
         if keys and (min(keys) < 0 or max(keys) >= self.n):
             raise DimensionMismatch("row key outside range(n)")
         values = [*chain.from_iterable(map(dict.values, self.rows))]
-        types = set(map(type, values)).union(map(type, self.rhs))
-        if types - {int} or 0 in values:
-            raise ValueError("row entries must be nonzero ints, rhs ints")
+        types = set(map(type, [*values, *self.rhs, *self.objective, self.scale]))
+        if types - {int} or 0 in values or self.scale < 1:
+            raise ValueError("need ints: nonzero entries, rhs, objective, scale >= 1")
 
     @property
     def held(self) -> Sequence[int]:
@@ -115,7 +114,7 @@ class WarmLP:
     """An integer-preserving simplex tableau with an explicit basis, built
     and taken through phase 1 once; phase 2 and the support rounds then run
     on it, each from the basis the previous step left.  It keeps n, the
-    input row count m and the program's objective list, not the program.
+    input row count m, the objective and the scale, not the program.
 
     Each input row is taken with the sign that makes its rhs >= 0, and
     `cols` indexes the nonzeros of every input row by column (the rhs at n)
@@ -145,7 +144,7 @@ class WarmLP:
     def __init__(self, lp: LinearProgram):
         self.n = n = lp.n
         self.m = len(lp.rows)
-        self.objective = lp.objective
+        self.objective, self.scale = lp.objective, lp.scale
         held = lp.held
         at = [-1] * self.m  # at[i] is input row i's tableau row, if held
         for t, i in enumerate(held):
@@ -272,19 +271,19 @@ class WarmLP:
         self.d = p
         self.basis[r] = c
 
-    def run(self, cost: list, allowed: Sequence[int]) -> Optional[int]:
+    def run(self, cost: list[int], allowed: Sequence[int]) -> Optional[int]:
         """Minimise cost over the allowed columns: Dantzig's rule with a
         fallback to Bland's rule after a degenerate pivot.
 
-        `cost` holds ints or Fractions, one per column.  `allowed` lists the
-        columns that may enter, in increasing order; a nonbasic column
-        outside it stays at 0.  Phase 1 allows the structural columns only,
+        `cost` holds ints, one per column.  `allowed` lists the columns that
+        may enter, in increasing order; a nonbasic column outside it stays
+        at 0.  Phase 1 allows the structural columns only,
         so a basic artificial is outside it; phase 2 and the support rounds
         allow every basic column.  Returns None on optimality, or the
         entering column index on unboundedness (no positive pivot entry in
-        that column).  `red` is d * L * (cost - c_B B^-1 A), L the lcm of
-        the cost denominators: built once here and updated by every pivot,
-        so pricing is a scan of it.  It is left as the last pivot made it.
+        that column).  `red` is d * (cost - c_B B^-1 A): built once here and
+        updated by every pivot, so pricing is a scan of it.  It is left as
+        the last pivot made it.
 
         The entering column has the most negative reduced cost (the first
         such), except after a degenerate pivot (the leaving row's rhs is 0),
@@ -297,10 +296,9 @@ class WarmLP:
         strictly lowers the objective, so no basis from before it comes
         back, and the run ends.
         """
-        costs, _ = int_scaled(cost)
-        red = [self.d * c for c in costs] + [0]
+        red = [self.d * c for c in cost] + [0]
         for row, b, e in zip(self.rows, self.basis, self.den):
-            w = costs[b]
+            w = cost[b]
             if w:
                 row = self._at_d(row, e)
                 for k in compress(range(len(row)), row):
@@ -381,8 +379,8 @@ class WarmLP:
 
         The point, and when unbounded the ray, are the tableau's witnesses
         divided by d.  The value is summed in ints, the checked basic
-        entries over d times the basic objective entries over the lcm L of
-        their denominators, and divided by L * d once."""
+        entries over d times the basic objective entries over the scale, and
+        divided by scale * d once."""
         if not self.feasible:
             return LPResult(INFEASIBLE)
         n, objective = self.n, self.objective
@@ -393,9 +391,8 @@ class WarmLP:
             end = self.witness(enter)  # the ray's end from the point, over d
             ray = divided([end.get(j, 0) - basic.get(j, 0) for j in range(n)], d)
             return LPResult(UNBOUNDED, point=point, ray=ray)
-        costs, lcm = int_scaled([objective[b] for b in basic])
-        total = sum(c * v for c, v in zip(costs, basic.values()))
-        value = Fraction(total, lcm * d)
+        total = sum(objective[b] * v for b, v in basic.items())
+        value = Fraction(total, self.scale * d)
         return LPResult(OPTIMAL, value=value, point=point, witness=(d, basic))
 
     def optimum(self) -> LPResult:
@@ -483,8 +480,10 @@ def relative_interior_point_with_flags(
 
 
 def restrict_to_optimal_face(lp: LinearProgram) -> LinearProgram:
-    """Append the equality objective = optimal value, scaled to ints; the
-    rows are lp's own, shared and not copied."""
-    *ints, b = int_scaled([*lp.objective, WarmLP(lp).optimum().value])[0]
-    rows = lp.rows + [sparse_row(ints)]
-    return LinearProgram(lp.n, rows, lp.rhs + [b], lp.objective)
+    """Append the equality objective = optimal value in ints: the objective
+    times the denominator of value * scale is its numerator.  The rows are
+    lp's own, shared and not copied."""
+    q = WarmLP(lp).optimum().value * lp.scale
+    row = sparse_row([c * q.denominator for c in lp.objective])
+    rows, rhs = lp.rows + [row], lp.rhs + [q.numerator]
+    return LinearProgram(lp.n, rows, rhs, lp.objective, scale=lp.scale)

@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import Union
 
 from .core import (
+    DEFAULT_CAP,
     FiniteMeasure,
     Instance,
     OperationTable,
@@ -47,7 +48,7 @@ from .core import (
     Term,
     ValuedStructure,
 )
-from .errors import DomainMismatch, FormatError
+from .errors import DomainMismatch, FormatError, ResourceGuard
 from .theory import PromiseFpol
 from .values import PLUS_INF, format_value, parse_rational, parse_value
 
@@ -142,7 +143,13 @@ def parse_structure(text: str) -> ValuedStructure:
             _entry(tokens, arity, domain, tables[name], parse_value)
         else:
             raise FormatError(f"unrecognised line: {' '.join(tokens)}")
+    d = max(1, len(domain))  # product's set-up alone takes arity steps
     for name, arity in symbols:
+        # |D|^arity tuples of arity labels; past the cap's bit length the
+        # power is over the cap, so a huge arity is no huge power
+        if d ** min(arity, DEFAULT_CAP.bit_length() + 1) * arity > DEFAULT_CAP:
+            size = f"{len(domain)}^{arity} tuples times arity {arity}"
+            raise ResourceGuard(f"symbol {name}: {size} exceed cap {DEFAULT_CAP}")
         default = defaults[name]
         for t in itertools.product(domain, repeat=arity):
             tables[name].setdefault(t, default)

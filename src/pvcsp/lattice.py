@@ -210,17 +210,17 @@ def solve_integer_system(
 
 
 def affine_min(lp: LinearProgram) -> ExtVal:
-    """min objective.x over the integer solutions of the program's held
+    """min cost.x over the integer solutions of the program's held
     rows: evaluate_affine_min of solve_integer_system's lattice, without U.
 
-    The tail is the objective c scaled to ints, so _echelon gives [H; c U]:
-    substitution yields c.x0, and a kernel column's tail entry is c on a
-    kernel vector.  Any U gives the same value: particular solutions differ
-    by a kernel vector, on which c vanishes whenever the value is finite."""
+    The tail is the int objective c, over the program's scale, so _echelon
+    gives [H; c U]: substitution yields c.x0, and a kernel column's tail
+    entry is c on a kernel vector.  Any U gives the same value: particular
+    solutions differ by a kernel vector, on which c vanishes whenever the
+    value is finite."""
     held = lp.held
     m = len(held)
-    ints, den = int_scaled(lp.objective)
-    tail = [{m: a} if a else {} for a in ints]
+    tail = [{m: a} if a else {} for a in lp.objective]
     cols, pivots = _echelon([lp.rows[i] for i in held], tail)
     acc = _substitute(cols, pivots, [lp.rhs[i] for i in held], 1)
     if acc is None:
@@ -228,7 +228,7 @@ def affine_min(lp: LinearProgram) -> ExtVal:
     # _substitute checked that kernel columns hold tail entries only
     if any(cols[len(pivots):]):
         return MINUS_INF
-    return Fraction(acc[0], den)
+    return Fraction(acc[0], lp.scale)
 
 
 def evaluate_affine_min(

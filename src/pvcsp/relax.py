@@ -13,10 +13,10 @@ The BLP is built in one pass over each term's tuples, and its phase 2 runs
 once, for its value and its star point.  Of a term of arity k, k - 1
 marginal rows are integer combinations of the others; the program keeps
 them and lists them, the simplex tableau and the AIP's echelon leave them
-out, and every check of a point still reads them.  The objective is
-scaled to ints once per program, and one helper compares a point's cost
-with a value: the star point's cost and mix are sums of ints over one
-denominator.
+out, and every check of a point still reads them.  build_blp scales the
+costs to the program's int objective over its scale once, and nothing
+scales them again; one helper compares a point's cost with a value: the
+star point's cost and mix are sums of ints over one denominator.
 Every star point is checked against the BLP's int rows and the cost
 window optimum <= cost <= u.
 """
@@ -36,21 +36,18 @@ from .errors import IndexMisalignment, InvariantViolated, PreconditionViolated
 from .exactlp import LinearProgram
 from .values import PLUS_INF, ExtVal, format_value, int_scaled, is_finite
 
-ZERO = Fraction(0)
-
 # column keys: ("lam", term index, tuple) and ("mu", variable, label)
 ColKey = tuple
 
 
 @dataclass
 class Relaxation(LinearProgram):
-    """The BLP's constraint system (rows . x = rhs, x >= 0, min objective . x),
-    an LP over Q and read over Z by the AIP, in LinearProgram's row format;
+    """The BLP's constraint system (rows . x = rhs, x >= 0, min cost . x),
+    an LP over Q and read over Z by the AIP, in LinearProgram's format;
     `columns` keys the n columns and `eliminated` the columns left out.
     `implied` lists the rows that are integer combinations of the others,
     rhs included, and `held` the others, the rows the tableau and the
-    echelon hold.  The cached phase 1, phase 2 and int objective live and
-    die with it."""
+    echelon hold.  The cached phase 1 and phase 2 live and die with it."""
 
     columns: list[ColKey]
     eliminated: list[ColKey]
@@ -74,24 +71,17 @@ class Relaxation(LinearProgram):
         the support rounds start from the basis it leaves."""
         return self.warm.minimise()
 
-    @functools.cached_property
-    def int_objective(self) -> tuple[list[tuple[int, int]], int]:
-        """The objective over the lcm L of its denominators: the nonzero
-        (column, L times coefficient) pairs, and L."""
-        ints, lcm = int_scaled(list(filter(None, self.objective)))
-        columns = itertools.compress(range(self.n), self.objective)
-        return list(zip(columns, ints)), lcm
-
 
 def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     """The basic LP relaxation; infeasibility encodes a +inf value.
 
     One pass over each term's tuples in product order: a finite-cost tuple
     is a lambda column, its cost the objective entry, in the marginal row of
-    each of its positions; a +inf tuple is eliminated.  Then the mu columns,
-    the marginal equalities (= 0; term, position, label order) and the
-    per-variable normalisations (= 1).  Each row holds its nonzeros only,
-    the ints 1 and -1, exact for the LP and integral for the AIP.  The
+    each of its positions; a +inf tuple is eliminated.  The costs become
+    ints once, over their lcm, the program's scale.  Then the mu columns
+    (cost 0), the marginal equalities (= 0; term, position, label order) and
+    the per-variable normalisations (= 1).  Each row holds its nonzeros
+    only, the ints 1 and -1, exact for the LP and integral for the AIP.  The
     bounds lambda, mu <= 1 follow from nonnegativity and the normalisations
     and are not encoded.
 
@@ -103,7 +93,7 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     arity k are kept, and listed in `implied`.
     """
     check_instance(delta, instance)
-    columns, eliminated, objective = [], [], []
+    columns, eliminated, costs = [], [], []
     marginals = []  # per term and position: label -> its lambda columns
     for j, term in enumerate(instance.terms):
         table = delta.table(term.symbol)
@@ -116,14 +106,15 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
             for cell, a in zip(cells, t):
                 cell[a].append(len(columns))
             columns.append(("lam", j, t))
-            objective.append(cost)
+            costs.append(cost)
         marginals.append(cells)
+    objective, scale = int_scaled(costs)
     mu = {}
     for x in instance.variables:
         for a in delta.domain:
             mu[x, a] = len(columns)
             columns.append(("mu", x, a))
-            objective.append(ZERO)
+            objective.append(0)
     n = len(columns)
     rows, implied = [], []
     for term, cells in zip(instance.terms, marginals):
@@ -138,7 +129,9 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     for x in instance.variables:
         rows.append({mu[x, a]: 1 for a in delta.domain})
         rhs.append(1)
-    return Relaxation(n, rows, rhs, objective, columns, eliminated, implied)
+    return Relaxation(
+        n, rows, rhs, objective, columns, eliminated, implied, scale=scale
+    )
 
 
 def build_aip(delta: ValuedStructure, instance: Instance) -> Relaxation:
@@ -176,10 +169,9 @@ class StarPoint:
 
 def _excess(blp: Relaxation, ints: list[int], den: int, v: Fraction) -> int:
     """An int with the sign of cost(ints / den) - v: the cost is an int
-    over L * den, L the objective's lcm."""
-    terms, lcm = blp.int_objective
-    cost = sum(c * ints[j] for j, c in terms)
-    return cost * v.denominator - v.numerator * lcm * den
+    over scale * den."""
+    cost = sum([c * x for c, x in zip(blp.objective, ints)])
+    return cost * v.denominator - v.numerator * blp.scale * den
 
 
 def _check_star_invariants(
@@ -267,6 +259,7 @@ def refine_aip(aip: Relaxation, star: StarPoint) -> Relaxation:
         [aip.columns[i] for i in keep],
         aip.eliminated + dropped,
         aip.implied,
+        scale=aip.scale,
     )
 
 

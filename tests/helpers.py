@@ -44,13 +44,21 @@ def dot(row, x):
 def dense_lp(n, rows, rhs, objective):
     """The one converter of a program written densely, with int or Fraction
     entries: each row is scaled with its rhs by the lcm of their
-    denominators to ints, and keeps its nonzeros."""
+    denominators to ints, and keeps its nonzeros; the objective is scaled
+    the same way, and that lcm is the program's scale."""
     int_rows, int_rhs = [], []
     for row, b in zip(rows, rhs):
         s = math.lcm(*(Fraction(a).denominator for a in [*row, b]))
         int_rows.append(sparse([int(a * s) for a in row]))
         int_rhs.append(int(b * s))
-    return exactlp.LinearProgram(n, int_rows, int_rhs, list(objective))
+    s = math.lcm(*(Fraction(c).denominator for c in objective))
+    ints = [int(c * s) for c in objective]
+    return exactlp.LinearProgram(n, int_rows, int_rhs, ints, scale=s)
+
+
+def costs(lp):
+    """A program's column costs as Fractions: objective / scale."""
+    return [Fraction(c, lp.scale) for c in lp.objective]
 
 
 def solve_unique(rows, rhs):
@@ -106,7 +114,7 @@ def vertex_minimum(lp):
     if not vertices:
         return None
     return min(
-        sum((c * x for c, x in zip(lp.objective, v)), ZERO) for v in vertices
+        sum((c * x for c, x in zip(costs(lp), v)), ZERO) for v in vertices
     )
 
 
@@ -540,13 +548,14 @@ def fraction_star_point(lp, u=None):
     res = warm.minimise()
     if res.status != exactlp.OPTIMAL:
         return None, None, None, None, None
-    value = sum((lp.objective[b] * res.point[b] for b in warm.basis), ZERO)
+    cost_of = costs(lp)
+    value = sum((cost_of[b] * res.point[b] for b in warm.basis), ZERO)
     u = value if u is None else u
     if not value <= u:
         return value, None, None, None, None
     ints, den, _ = warm.interior_ints()
     p = exactlp.divided(ints, den)
-    cost = sum((c * x for c, x in zip(lp.objective, p)), ZERO)
+    cost = sum((c * x for c, x in zip(cost_of, p)), ZERO)
     if cost <= u:
         return value, cost, p, "feasible-interior", "interior"
     if value < u:

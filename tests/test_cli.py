@@ -6,7 +6,7 @@ import pytest
 
 from pvcsp import cli, formats, generators, relax
 from pvcsp.cli import EXIT_ERROR, EXIT_INTERNAL, EXIT_NO, EXIT_YES, main
-from pvcsp.core import GAP, YES, PromiseTemplate, pvcsp_oracle
+from pvcsp.core import DEFAULT_CAP, GAP, YES, PromiseTemplate, pvcsp_oracle
 from pvcsp.errors import InvariantViolated
 
 STRUCTURE = """domain 0 1
@@ -369,6 +369,20 @@ def test_solve_oracle_over_cap_is_error(tmp_path, capsys):
     assert captured.err.startswith("error: brute force: 2^40 assignments")
     assert captured.out == ""
     assert main(argv) == EXIT_YES
+
+
+@pytest.mark.parametrize("domain, arity", [("0 1", 40), ("0", 10**8)])
+def test_solve_refuses_a_table_too_big_to_enumerate(files, tmp_path, capsys, domain, arity):
+    # a default fills |D|^arity tuples of arity labels: the structure is
+    # refused with exit 2 before any tuple is listed, a one-label domain
+    # with a huge arity included
+    _, _, sat, _ = files
+    structure = tmp_path / "big.pvcsp"
+    structure.write_text(f"domain {domain}\nsymbol f {arity} default 0\n")
+    assert main(["solve", "--structure", str(structure), "--instance", sat]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: symbol f: ")
+    assert f"exceed cap {DEFAULT_CAP}" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("engine", sorted(relax.ENGINES))

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 from helpers import dense_lp, fraction_star_point
 
-from pvcsp import exactlp, formats, generators, relax, theory
+from pvcsp import exactlp, formats, generators, lattice, relax, theory
 from pvcsp.core import Instance, PromiseTemplate, Signature, Term, ValuedStructure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -166,6 +166,28 @@ def test_denominators_are_scaled_only_by_int_scaled():
         and any(_reads_denominator(sub) for arg in node.args for sub in ast.walk(arg))
     ]
     assert found == []
+
+
+def test_programs_are_scaled_by_their_builders_only():
+    # a program's objective is ints over its scale from its builder on, so
+    # the LP kernel takes nothing from values, and affine_min reads the
+    # objective and scale as built
+    tree = ast.parse((ROOT / "src" / "pvcsp" / "exactlp.py").read_text(encoding="utf-8"))
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+    ]
+    assert "errors" in imported
+    assert not any("values" in name.split(".") for name in imported)
+    source = inspect.getsource(lattice.affine_min)
+    calls = [
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    ]
+    assert calls and "int_scaled" not in calls
 
 
 def test_witness_search_is_in_ints_up_to_its_weights(monkeypatch):

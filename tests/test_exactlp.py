@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     Pivot,
+    costs,
     counting_pivots,
     dense_lp,
     dense_pivot,
@@ -61,15 +62,15 @@ def test_unbounded_below():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        LinearProgram(2, [{0: 1}], [1], [Z])
+        LinearProgram(2, [{0: 1}], [1], [0])
     with pytest.raises(DimensionMismatch):
-        LinearProgram(2, [{0: 1}], [1, 2], [Z, Z])
+        LinearProgram(2, [{0: 1}], [1, 2], [0, 0])
 
 
 @pytest.mark.parametrize("key", [-1, 2, 3])
 def test_row_key_outside_the_columns_rejected(key):
     with pytest.raises(DimensionMismatch):
-        LinearProgram(2, [{0: 1}, {key: 1}], [1, 0], [Z, Z])
+        LinearProgram(2, [{0: 1}, {key: 1}], [1, 0], [0, 0])
 
 
 @pytest.mark.parametrize(
@@ -85,13 +86,33 @@ def test_row_key_outside_the_columns_rejected(key):
 )
 def test_row_entries_and_rhs_must_be_nonzero_ints(row, rhs):
     with pytest.raises(ValueError):
-        LinearProgram(2, [{1: 1}, row], [1, rhs], [Z, Z])
+        LinearProgram(2, [{1: 1}, row], [1, rhs], [0, 0])
+
+
+@pytest.mark.parametrize(
+    "objective, scale",
+    [
+        ([F(1), 0], 1),  # a Fraction entry, even an integral one
+        ([F(1, 2), 0], 1),
+        ([True, 0], 1),  # a bool entry
+        ([1.0, 0], 1),
+        ([1, 0], 0),  # a scale below 1
+        ([1, 0], -1),
+        ([1, 0], F(2)),  # a non-int scale
+        ([1, 0], True),
+    ],
+)
+def test_objective_entries_and_scale_must_be_ints(objective, scale):
+    # the objective is ints over one positive int scale, like the rows
+    LinearProgram(2, [{0: 1}], [1], [1, 0], scale=2)
+    with pytest.raises(ValueError):
+        LinearProgram(2, [{0: 1}], [1], objective, scale=scale)
 
 
 def test_empty_row_accepted():
-    prog = LinearProgram(2, [{}, {0: 1, 1: -1}], [0, 0], [Z, Z])
+    prog = LinearProgram(2, [{}, {0: 1, 1: -1}], [0, 0], [0, 0])
     assert solve_lp(prog).status == OPTIMAL
-    assert solve_lp(LinearProgram(1, [{}], [1], [Z])).status == INFEASIBLE
+    assert solve_lp(LinearProgram(1, [{}], [1], [0])).status == INFEASIBLE
 
 
 def support(prog):
@@ -157,6 +178,17 @@ def test_restrict_to_optimal_face_pins_expensive_var():
     assert support(face) == [True, False]
 
 
+def test_restrict_to_optimal_face_keeps_the_scale():
+    # costs 1/2, 1/2 are ints 1, 1 over scale 2; on 3 x0 + 2 x1 = 1 the
+    # optimum is 1/6, and 1/6 * 2 = 1/3, so the face row is 3 x0 + 3 x1 = 1
+    prog = dense_lp(2, [[3, 2]], [1], [F(1, 2), F(1, 2)])
+    face = restrict_to_optimal_face(prog)
+    assert face.rows[-1] == {0: 3, 1: 3} and face.rhs[-1] == 1
+    assert (face.objective, face.scale) == ([1, 1], 2)
+    assert solve_lp(face).value == F(1, 6)
+    assert support(face) == [True, False]
+
+
 def test_restrict_redundant_when_face_is_whole_polytope():
     prog = dense_lp(2, [[1, 1]], [1], [1, 1])
     face = restrict_to_optimal_face(prog)
@@ -199,7 +231,8 @@ def assert_warm_matches_vertices(prog, vertices):
     a bounded, nonempty region, against its enumerated vertices."""
     warm = WarmLP(prog)
     res = warm.minimise()
-    cost = [sum((c * x for c, x in zip(prog.objective, v)), Z) for v in vertices]
+    cost_of = costs(prog)
+    cost = [sum((c * x for c, x in zip(cost_of, v)), Z) for v in vertices]
     assert res.status == OPTIMAL and res.value == min(cost)
     assert res.point in vertices
     point, flags = fractions(*warm.interior_ints())
@@ -209,7 +242,7 @@ def assert_warm_matches_vertices(prog, vertices):
     face_point, face_flags = fractions(*warm.face_interior_ints())
     assert face_flags == support_union(best, prog.n)
     assert_interior(prog, face_point, face_flags)
-    assert sum((c * x for c, x in zip(prog.objective, face_point)), Z) == res.value
+    assert sum((c * x for c, x in zip(cost_of, face_point)), Z) == res.value
     # the face straight after phase 1, without the earlier rounds
     assert WarmLP(prog).face_interior_ints()[2] == face_flags
 
@@ -294,7 +327,7 @@ def test_against_vertex_enumeration():
             for row, b in zip(prog.rows, prog.rhs):
                 assert dot(row, res.point) == b
                 assert dot(row, res.ray) == 0
-            assert sum((c * r for c, r in zip(prog.objective, res.ray)), Z) < 0
+            assert sum((c * r for c, r in zip(costs(prog), res.ray)), Z) < 0
     assert unbounded == 17
 
 
@@ -597,13 +630,12 @@ def test_basic_solutions_checked_in_ints_under_optimise_flag():
     # a tableau entry corrupted after phase 1 must not reach a caller, even
     # with asserts off
     script = """
-from fractions import Fraction as F
 from pvcsp.exactlp import LinearProgram, WarmLP
 from pvcsp.errors import InvariantViolated
 if __debug__:
     raise SystemExit("asserts are still on")
 # x1 / 2 + x2 / 3 = 1, scaled to ints
-prog = LinearProgram(2, [{0: 3, 1: 2}], [6], [F(1), F(1)])
+prog = LinearProgram(2, [{0: 3, 1: 2}], [6], [1, 1])
 for corrupt in ("rhs", "ray"):
     tab = WarmLP(prog)
     tab.rows[0][-1 if corrupt == "rhs" else 1] += 1

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    costs,
     box_min_objective,
     box_solutions,
     dense,
@@ -381,7 +382,7 @@ def test_affine_min_matches_lattice_evaluation(monkeypatch):
     value_of = relax.aip_value
 
     def capture(aip):
-        refined.append((dense_rows(aip), aip.rhs, aip.objective))
+        refined.append((dense_rows(aip), aip.rhs, costs(aip)))
         return value_of(aip)
 
     monkeypatch.setattr(relax, "aip_value", capture)
@@ -407,7 +408,7 @@ def test_affine_min_matches_lattice_evaluation(monkeypatch):
         build_aip(XOR, Instance(("x",), (), F(0))),
         build_aip(empty, Instance(("x",), (Term("e", ("x",)),), F(0))),
     ]
-    cases += [(dense_rows(aip), aip.rhs, aip.objective) for aip in edge]
+    cases += [(dense_rows(aip), aip.rhs, costs(aip)) for aip in edge]
     cases += [
         ([], [], []),
         ([], [], [F(0)] * 3),

@@ -7,10 +7,14 @@ column order, row order or pivot rule may change it:
 - shuffling the terms renumbers the eliminated lambda columns;
 - reordering and renaming the domain labels renames the eliminated tuples
   and marginals;
+- renaming the symbols changes nothing;
 - a variable that no term uses adds |D| columns and one row to the
   program, and changes nothing else;
 - scaling every finite cost and the threshold by q > 0 scales the BLP and
-  AIP values by q, and changes nothing else.
+  AIP values by q, and changes nothing else;
+- adding c to every finite entry of one symbol's table, and c times that
+  symbol's term count k to the threshold, shifts the BLP and AIP values by
+  c * k (each term's lambdas sum to 1), and changes nothing else.
 
 A witness search keeps only its verdict under a rewrite of its template:
 relabelling the domain and renaming the symbols reorder its candidates, and
@@ -28,7 +32,15 @@ from fractions import Fraction as F
 from test_pins import pool
 
 from pvcsp import generators, relax, theory
-from pvcsp.core import NO, YES, Instance, PromiseTemplate, Signature, ValuedStructure
+from pvcsp.core import (
+    NO,
+    YES,
+    Instance,
+    PromiseTemplate,
+    Signature,
+    Term,
+    ValuedStructure,
+)
 from pvcsp.theory import BlockPartition
 from pvcsp.values import PLUS_INF, is_finite
 
@@ -50,19 +62,19 @@ def answers(delta, instance):
     return {name: engine(delta, instance) for name, engine in relax.ENGINES.items()}
 
 
-def scaled_value(value, q):
-    return value * q if value is not None and is_finite(value) else value
+def scaled_value(value, q, shift):
+    return value * q + shift if value is not None and is_finite(value) else value
 
 
-def mapped(answer, key=lambda k: k, size=(0, 0), q=1):
-    """The answer's fields, its values times q, its eliminated columns
-    through `key` as a set and its program size grown by `size`."""
+def mapped(answer, key=lambda k: k, size=(0, 0), q=1, shift=0):
+    """The answer's fields, its values times q plus shift, its eliminated
+    columns through `key` as a set and its program size grown by `size`."""
     columns, rows = answer.program_size
     return (
         answer.verdict,
-        scaled_value(answer.blp_value, q),
+        scaled_value(answer.blp_value, q, shift),
         answer.star_provenance,
-        scaled_value(answer.aff_value, q),
+        scaled_value(answer.aff_value, q, shift),
         {key(k) for k in answer.eliminated},
         (columns + size[0], rows + size[1]),
     )
@@ -114,7 +126,23 @@ def add_unused_variable(rng, delta, instance):
     return delta, rewritten, {"size": (len(delta.domain), 1)}
 
 
-REWRITES = (shuffle_variables, shuffle_terms, relabel_domain, add_unused_variable)
+def rename_symbols(rng, delta, instance):
+    # no draw from rng, so the other rewrites see the draws they saw before
+    symbol = {s: f"{s}r" for s in delta.signature.names()}
+    signature = Signature(tuple((symbol[s], k) for s, k in reversed(delta.signature.symbols)))
+    tables = {symbol[s]: delta.table(s) for s in delta.signature.names()}
+    terms = tuple(Term(symbol[t.symbol], t.args) for t in instance.terms)
+    renamed = ValuedStructure(signature, delta.domain, tables)
+    return renamed, Instance(instance.variables, terms, instance.threshold), {}
+
+
+REWRITES = (
+    shuffle_variables,
+    shuffle_terms,
+    relabel_domain,
+    add_unused_variable,
+    rename_symbols,
+)
 
 
 def test_answers_survive_rewrites_mapped():
@@ -165,6 +193,45 @@ def test_answers_scale_with_the_costs():
             assert mapped(after[name]) == mapped(answer, q=q), (k, name, q)
             seen.add((name, answer.verdict))
             seen.add(answer.star_provenance)
+    assert {(name, v) for name in relax.ENGINES for v in (YES, NO)} <= seen
+    assert {None, relax.FEASIBLE_INTERIOR, relax.OPTIMAL_FACE_INTERIOR} <= seen
+
+
+# cost shifts: a negative one, an int, and one that changes the objective's
+# scale (the lcm of the costs' denominators)
+SHIFTS = (F(-3, 2), F(5), F(1, 3))
+
+
+def shifted_structure(structure, symbol, c):
+    """The structure with c added to every finite entry of one symbol's
+    table; +inf stays."""
+    tables = {s: structure.table(s) for s in structure.signature.names()}
+    tables[symbol] = {t: v + c if is_finite(v) else v for t, v in tables[symbol].items()}
+    return ValuedStructure(structure.signature, structure.domain, tables)
+
+
+def test_answers_shift_with_one_symbols_costs():
+    # c added to every finite entry of a seeded symbol's table and c * k to
+    # the threshold, k that symbol's term count: the BLP and AIP values
+    # plus c * k; verdict, provenance, eliminated columns and size equal
+    rng = random.Random(17)
+    seen = set()
+    used = 0
+    for k, (delta, instance) in enumerate(instances()):
+        symbol = rng.choice(delta.signature.names())
+        count = sum(term.symbol == symbol for term in instance.terms)
+        used += count > 0
+        before = answers(delta, instance)
+        for c in SHIFTS:
+            u = instance.threshold + c * count
+            shifted = Instance(instance.variables, instance.terms, u)
+            after = answers(shifted_structure(delta, symbol, c), shifted)
+            for name, answer in before.items():
+                assert mapped(after[name]) == mapped(answer, shift=c * count), (k, name, c)
+        for name, answer in before.items():
+            seen.add((name, answer.verdict))
+            seen.add(answer.star_provenance)
+    assert used >= 120
     assert {(name, v) for name in relax.ENGINES for v in (YES, NO)} <= seen
     assert {None, relax.FEASIBLE_INTERIOR, relax.OPTIMAL_FACE_INTERIOR} <= seen
 

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from helpers import fraction_star_point, reference_blp, sparse
+from helpers import costs, fraction_star_point, reference_blp, sparse
 
 from pvcsp import exactlp, generators, lattice, relax
 from pvcsp.core import (
@@ -95,7 +95,7 @@ def test_build_blp_matches_four_pass_reference():
     for delta, ins in blp_ladder():
         blp = build_blp(delta, ins)
         rows, *rest = reference_blp(delta, ins)
-        got = (blp.rows, blp.rhs, blp.objective, blp.columns, blp.eliminated)
+        got = (blp.rows, blp.rhs, costs(blp), blp.columns, blp.eliminated)
         assert got == (list(map(sparse, rows)), *rest)
 
 
@@ -144,7 +144,7 @@ def test_tableau_and_echelon_leave_implied_rows_out(monkeypatch):
     )
 
     def full(p):  # a plain program: tableau and echelon hold every row
-        return exactlp.LinearProgram(p.n, p.rows, p.rhs, p.objective)
+        return exactlp.LinearProgram(p.n, p.rows, p.rhs, p.objective, scale=p.scale)
 
     refined_count = 0
     for delta, ins in blp_ladder():
@@ -286,7 +286,7 @@ def test_select_star_point_interior_case():
 
 
 def star_cost(blp, star):
-    return sum((c * v for c, v in zip(blp.objective, star.values)), F(0))
+    return sum((c * v for c, v in zip(costs(blp), star.values)), F(0))
 
 
 def test_select_star_point_mixing_case():
