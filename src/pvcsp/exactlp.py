@@ -20,6 +20,7 @@ one tableau; `divided` makes Fractions of ints over a denominator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
@@ -88,10 +89,20 @@ OPTIMAL = "optimal"
 class LPResult:
     status: str
     value: Optional[Fraction] = None
-    point: Optional[list[Fraction]] = None
     ray: Optional[list[Fraction]] = None  # improving ray when unbounded
-    # when optimal: d and the point's nonzero coordinates in ints over d
+    # when optimal or unbounded: d and the basic solution's nonzero
+    # coordinates, of n, in ints over d
     witness: Optional[tuple[int, dict[int, int]]] = None
+    n: int = 0
+
+    @functools.cached_property
+    def point(self) -> Optional[list[Fraction]]:
+        """The witness as Fractions, built on first read: no solver path
+        reads it."""
+        if self.witness is None:
+            return None
+        d, basic = self.witness
+        return divided([basic.get(j, 0) for j in range(self.n)], d)
 
 
 def _eliminate(
@@ -378,22 +389,21 @@ class WarmLP:
         """Phase 2; Optimal returns a minimising basic solution.
 
         The point, and when unbounded the ray, are the tableau's witnesses
-        divided by d.  The value is summed in ints, the checked basic
-        entries over d times the basic objective entries over the scale, and
-        divided by scale * d once."""
+        over d; the point is divided out on its first read.  The value is
+        summed in ints, the checked basic entries over d times the basic
+        objective entries over the scale, and divided by scale * d once."""
         if not self.feasible:
             return LPResult(INFEASIBLE)
         n, objective = self.n, self.objective
         enter = self.run(objective, range(n))
         d, basic = self.d, self.witness(None)
-        point = divided([basic.get(j, 0) for j in range(n)], d)
         if enter is not None:
             end = self.witness(enter)  # the ray's end from the point, over d
             ray = divided([end.get(j, 0) - basic.get(j, 0) for j in range(n)], d)
-            return LPResult(UNBOUNDED, point=point, ray=ray)
+            return LPResult(UNBOUNDED, ray=ray, witness=(d, basic), n=n)
         total = sum(objective[b] * v for b, v in basic.items())
         value = Fraction(total, self.scale * d)
-        return LPResult(OPTIMAL, value=value, point=point, witness=(d, basic))
+        return LPResult(OPTIMAL, value=value, witness=(d, basic), n=n)
 
     def optimum(self) -> LPResult:
         """minimise, raising unless the objective attains a minimum."""

@@ -79,6 +79,18 @@ def _arity(token: str) -> int:
     return arity
 
 
+def _cap_table(what: str, labels: int, arity: int) -> None:
+    """Raise ResourceGuard when a table's labels^arity tuples of arity
+    labels exceed DEFAULT_CAP, before any is listed.  product's set-up alone
+    takes arity steps, so an empty domain counts as one label; past the
+    cap's bit length the power is over the cap, so a huge arity is no huge
+    power."""
+    d = max(1, labels)
+    if d ** min(arity, DEFAULT_CAP.bit_length() + 1) * arity > DEFAULT_CAP:
+        size = f"{labels}^{arity} tuples times arity {arity}"
+        raise ResourceGuard(f"{what}: {size} exceed cap {DEFAULT_CAP}")
+
+
 def _one_value(tokens: list[str]) -> str:
     if len(tokens) != 2:
         raise FormatError(f"{tokens[0]} needs exactly one value")
@@ -143,13 +155,8 @@ def parse_structure(text: str) -> ValuedStructure:
             _entry(tokens, arity, domain, tables[name], parse_value)
         else:
             raise FormatError(f"unrecognised line: {' '.join(tokens)}")
-    d = max(1, len(domain))  # product's set-up alone takes arity steps
     for name, arity in symbols:
-        # |D|^arity tuples of arity labels; past the cap's bit length the
-        # power is over the cap, so a huge arity is no huge power
-        if d ** min(arity, DEFAULT_CAP.bit_length() + 1) * arity > DEFAULT_CAP:
-            size = f"{len(domain)}^{arity} tuples times arity {arity}"
-            raise ResourceGuard(f"symbol {name}: {size} exceed cap {DEFAULT_CAP}")
+        _cap_table(f"symbol {name}", len(domain), arity)
         default = defaults[name]
         for t in itertools.product(domain, repeat=arity):
             tables[name].setdefault(t, default)
@@ -245,6 +252,7 @@ def parse_measure(text: str) -> Union[FiniteMeasure, PromiseFpol]:
         raise FormatError("measure file has no measure line")
     if kind == FRACHOM and arity != 1:
         raise FormatError("a fractional homomorphism has arity 1")
+    _cap_table("measure", len(in_domain), arity)
     weighted = []
     for entries, w in maps:
         mapping: dict[tuple[str, ...], str] = {}

@@ -82,7 +82,10 @@ def _echelon(
     and a column leaves it on becoming a pivot, since pivot columns never
     change again.  Columns keep their ids; a position permutation (order,
     pos) stands in for swapping them, and they are returned in position
-    order.
+    order.  Most rows hold one unpivoted nonzero, or come down to one after
+    a gcd pass; that column takes the pivot without a key being computed.
+    Every pass swaps its pivot into place, since positions break the next
+    pass's ties and give the output order.
     """
     m, n = len(A), len(tail)
     cols: list[Column] = [dict(t) for t in tail]
@@ -102,14 +105,18 @@ def _echelon(
         if not nonzero:
             continue
         while True:
-            j = min(nonzero, key=lambda k: (abs(cols[k][r]), len(cols[k]), pos[k]))
+            if len(nonzero) == 1:
+                (j,) = nonzero
+            else:  # pos is unique, so k never decides
+                keys = [(abs(cols[k][r]), len(cols[k]), pos[k], k) for k in nonzero]
+                j = min(keys)[3]
             # swap positions c and pos[j]
             p, i = pos[j], order[c]
             order[c], order[p], pos[j], pos[i] = j, i, c, p
             if len(nonzero) == 1:
                 break
             pivot = cols[j]
-            for k in [k for k in nonzero if k != j]:
+            for k in nonzero - {j}:
                 _addmul(cols[k], pivot, -(cols[k][r] // pivot[r]), where, k)
         if cols[j][r] < 0:
             cols[j] = {i: -v for i, v in cols[j].items()}

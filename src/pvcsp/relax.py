@@ -9,8 +9,9 @@ variable marginals, each in deterministic order) and eliminated keys, so
 the star point aligns coordinate-for-coordinate with the integer program.
 Tuples outside dom(f) are eliminated from the column set rather than
 constrained to zero, and the refinement eliminates further columns.
-The BLP is built in one pass over each term's tuples, and its phase 2 runs
-once, for its value and its star point.  Of a term of arity k, k - 1
+The BLP reads each used symbol's table once per build, into a shape that
+every term of the symbol extends its columns and rows from, and its phase
+2 runs once, for its value and its star point.  Of a term of arity k, k - 1
 marginal rows are integer combinations of the others; the program keeps
 them and lists them, the simplex tableau and the AIP's echelon leave them
 out, and every check of a point still reads them.  build_blp scales the
@@ -72,18 +73,39 @@ class Relaxation(LinearProgram):
         return self.warm.minimise()
 
 
+def _shape(delta: ValuedStructure, symbol: str, arity: int) -> tuple:
+    """What the terms of one symbol share: its finite tuples in product
+    order, their costs, its +inf tuples, and per position, label -> the
+    offsets of the finite tuples carrying that label there."""
+    table = delta.table(symbol)
+    finite, costs, infinite = [], [], []
+    offsets = [{a: [] for a in delta.domain} for _ in range(arity)]
+    for t in itertools.product(delta.domain, repeat=arity):
+        cost = table[t]
+        if not is_finite(cost):
+            infinite.append(t)
+            continue
+        for cell, a in zip(offsets, t):
+            cell[a].append(len(finite))
+        finite.append(t)
+        costs.append(cost)
+    return finite, costs, infinite, offsets
+
+
 def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     """The basic LP relaxation; infeasibility encodes a +inf value.
 
-    One pass over each term's tuples in product order: a finite-cost tuple
-    is a lambda column, its cost the objective entry, in the marginal row of
-    each of its positions; a +inf tuple is eliminated.  The costs become
-    ints once, over their lcm, the program's scale.  Then the mu columns
-    (cost 0), the marginal equalities (= 0; term, position, label order) and
-    the per-variable normalisations (= 1).  Each row holds its nonzeros
-    only, the ints 1 and -1, exact for the LP and integral for the AIP.  The
-    bounds lambda, mu <= 1 follow from nonnegativity and the normalisations
-    and are not encoded.
+    Each term's tuples in product order: a finite-cost tuple is a lambda
+    column, its cost the objective entry, in the marginal row of each of
+    its positions; a +inf tuple is eliminated.  Each used symbol's table is
+    read once, into its _shape, and each term of it reads that, offset by
+    its first lambda column.  The costs become ints once, over their lcm,
+    the program's scale.  Then the mu columns (cost 0), the marginal
+    equalities (= 0; term, position, label order) and the per-variable
+    normalisations (= 1).  Each row holds its nonzeros only, the ints 1 and
+    -1, exact for the LP and integral for the AIP.  The bounds lambda, mu
+    <= 1 follow from nonnegativity and the normalisations and are not
+    encoded.
 
     The marginal rows of one position sum, with its variable's
     normalisation, to "the term's lambdas sum to 1".  So at every position
@@ -94,20 +116,17 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
     """
     check_instance(delta, instance)
     columns, eliminated, costs = [], [], []
-    marginals = []  # per term and position: label -> its lambda columns
+    shapes = {}  # symbol -> _shape, for this call only
+    marginals = []  # per term: its first lambda column, its shape's offsets
     for j, term in enumerate(instance.terms):
-        table = delta.table(term.symbol)
-        cells = [{a: [] for a in delta.domain} for _ in term.args]
-        for t in itertools.product(delta.domain, repeat=len(term.args)):
-            cost = table[t]
-            if not is_finite(cost):
-                eliminated.append(("lam", j, t))
-                continue
-            for cell, a in zip(cells, t):
-                cell[a].append(len(columns))
-            columns.append(("lam", j, t))
-            costs.append(cost)
-        marginals.append(cells)
+        shape = shapes.get(term.symbol)
+        if shape is None:
+            shape = shapes[term.symbol] = _shape(delta, term.symbol, len(term.args))
+        finite, finite_costs, infinite, offsets = shape
+        marginals.append((len(columns), offsets))
+        columns.extend([("lam", j, t) for t in finite])
+        costs.extend(finite_costs)
+        eliminated.extend([("lam", j, t) for t in infinite])
     objective, scale = int_scaled(costs)
     mu = {}
     for x in instance.variables:
@@ -117,10 +136,10 @@ def build_blp(delta: ValuedStructure, instance: Instance) -> Relaxation:
             objective.append(0)
     n = len(columns)
     rows, implied = [], []
-    for term, cells in zip(instance.terms, marginals):
-        for p, (x, cell) in enumerate(zip(term.args, cells)):
+    for term, (base, offsets) in zip(instance.terms, marginals):
+        for p, (x, cell) in enumerate(zip(term.args, offsets)):
             for a, lams in cell.items():
-                row = dict.fromkeys(lams, 1)
+                row = dict.fromkeys(map(base.__add__, lams), 1)
                 row[mu[x, a]] = -1
                 rows.append(row)
             if p and cell:  # p > 0: the last label's row is implied

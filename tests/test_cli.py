@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -382,6 +383,24 @@ def test_solve_refuses_a_table_too_big_to_enumerate(files, tmp_path, capsys, dom
     assert main(["solve", "--structure", str(structure), "--instance", sat]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err.startswith("error: symbol f: ")
+    assert f"exceed cap {DEFAULT_CAP}" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("domain, arity", [("0 1", 40), ("0", 10**8)])
+def test_check_refuses_a_measure_too_big_to_enumerate(files, tmp_path, capsys, domain, arity):
+    # a map's table holds |in_domain|^arity tuples of arity labels: the
+    # measure is refused with exit 2 once its headers are read, before any
+    # table is enumerated, a one-label domain with a huge arity included
+    _, s, _, _ = files
+    measure = tmp_path / "big.pvcsp"
+    measure.write_text(
+        f"measure fpol\narity {arity}\nin_domain {domain}\nout_domain 0\nmap 1\n"
+    )
+    start = time.perf_counter()
+    assert main(["check", "--measure", str(measure), "--structure", s]) == EXIT_ERROR
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: measure: ")
     assert f"exceed cap {DEFAULT_CAP}" in captured.err and captured.out == ""
 
 

@@ -99,6 +99,28 @@ def test_build_blp_matches_four_pass_reference():
         assert got == (list(map(sparse, rows)), *rest)
 
 
+def test_build_blp_reads_each_used_symbols_table_once(monkeypatch):
+    # one build reads delta.table once per symbol its terms use, however
+    # many terms use it, and never for a symbol no term uses
+    reads = []
+    table = ValuedStructure.table
+
+    def counted(self, symbol):
+        reads.append(symbol)
+        return table(self, symbol)
+
+    monkeypatch.setattr(ValuedStructure, "table", counted)
+    seen = {"shared": 0, "unused": 0}
+    for delta, ins in blp_ladder():
+        reads.clear()
+        build_blp(delta, ins)
+        used = [term.symbol for term in ins.terms]
+        assert sorted(reads) == sorted(set(used))
+        seen["shared"] += len(used) > len(set(used))
+        seen["unused"] += len(delta.signature.symbols) > len(set(used))
+    assert min(seen.values()) >= 10
+
+
 def test_implied_rows_are_combinations_of_the_others():
     # at each position p > 0 of a term, the last label's row is the sum of
     # position 0's rows and norm(x_0), less norm(x_p) and position p's
