@@ -16,17 +16,16 @@ marginal rows are integer combinations of the others; the program keeps
 them and lists them, the simplex tableau and the AIP's echelon leave them
 out, and every check of a point still reads them.  build_blp scales the
 costs to the program's int objective over its scale once, and nothing
-scales them again; one helper compares a point's cost with a value: the
-star point's cost and mix are sums of ints over one denominator.
-Every star point is checked against the BLP's int rows and the cost
-window optimum <= cost <= u.
+scales them again.  The star point is its support, the flags of the
+region's or the optimal face's support rounds; the point of every branch
+taken is checked in ints against the BLP's rows, its flags and the
+optimum, which the face's point must cost exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -181,94 +180,75 @@ OPTIMAL_FACE_INTERIOR = "optimal-face-interior"
 
 @dataclass
 class StarPoint:
-    values: list[Fraction]
+    """The support of the star point: flags[i] true iff its column i is
+    positive, the same at every relative interior point of its set."""
+
+    flags: list[bool]
     provenance: str
     columns: list[ColKey]
 
 
-def _excess(blp: Relaxation, ints: list[int], den: int, v: Fraction) -> int:
-    """An int with the sign of cost(ints / den) - v: the cost is an int
-    over scale * den."""
-    cost = sum([c * x for c, x in zip(blp.objective, ints)])
-    return cost * v.denominator - v.numerator * blp.scale * den
-
-
-def _check_star_invariants(
-    blp: Relaxation, ints: list[int], den: int, flags: list[bool], u: Fraction
-) -> None:
+def _check_star_point(
+    blp: Relaxation, ints: list[int], den: int, flags: list[bool], face: bool
+) -> int:
     """Raise InvariantViolated unless the point ints / den satisfies the
-    BLP's rows, is nonnegative, costs between the BLP's optimum and u, and
-    is positive exactly where flagged.
+    BLP's rows, is nonnegative, is positive exactly where flagged and costs
+    at least the BLP's optimum, and on the optimal face (face) at most it.
+    Returns an int with the sign of its cost less the optimum.
 
     Exact, in ints: a row holds at the point when the sum over its nonzeros
-    of entry times int coordinate is den times its rhs.
+    of entry times int coordinate is den times its rhs, and the cost is an
+    int over scale * den.
     """
     for row, b in zip(blp.rows, blp.rhs):
         if sum([a * ints[j] for j, a in row.items()]) != b * den:
             raise InvariantViolated("star point violates an equality")
     if any(x < 0 for x in ints):
         raise InvariantViolated("star point has a negative coordinate")
-    if _excess(blp, ints, den, blp.phase2.value) < 0:
-        raise InvariantViolated("star point costs less than the optimum")
-    if _excess(blp, ints, den, u) > 0:
-        raise InvariantViolated("star point costs more than the threshold")
     if any((x > 0) != f for x, f in zip(ints, flags)):
         raise InvariantViolated("star point support differs from its flags")
+    m = blp.phase2.value
+    cost = sum([c * x for c, x in zip(blp.objective, ints)])
+    excess = cost * m.denominator - m.numerator * blp.scale * den
+    if excess < 0:
+        raise InvariantViolated("star point costs less than the optimum")
+    if face and excess > 0:
+        raise InvariantViolated("optimal-face point costs more than the optimum")
+    return excess
 
 
 def select_star_point(blp: Relaxation, u: Fraction) -> StarPoint:
-    """The star point of the refinement definition.
+    """The support of the star point of the refinement definition: a
+    relative interior point of the feasibility polytope with cost <= u if
+    one exists, else one of the optimal face.
 
-    A relative interior point of the feasibility polytope with cost <= u if
-    one exists (directly, or as a strict convex combination with an optimal
-    vertex), else a relative interior point of the optimal face.  The BLP's
-    one phase 1 and phase 2 (blp.warm and blp.phase2, shared with
-    blp_value) serve all three: the optimum, the support rounds that start
-    from the optimal vertex, and the optimal face's support rounds.  Every
-    point is ints over one denominator until its values are built, and the
-    costs and the mix are computed in ints.
+    Below u one exists with the region's support: a strict combination of
+    the region's interior point with an optimal vertex, near enough to the
+    vertex.  At u = the optimum one exists iff the objective is constant on
+    the region, iff the interior point costs exactly the optimum.  The
+    BLP's one phase 1 and phase 2 (blp.warm and blp.phase2, shared with
+    blp_value) serve the optimum and both support rounds.
     """
     res = blp.phase2
     if res.status != exactlp.OPTIMAL or not res.value <= u:
         raise PreconditionViolated("select_star_point requires blp value <= u")
     warm = blp.warm
-    p, pd, flags = warm.interior_ints()
-    provenance = FEASIBLE_INTERIOR
-    over = _excess(blp, p, pd, u)
-    if over <= 0:
-        ints, den = p, pd
-    elif res.value < u:
-        # cost(p) > u > m: mix towards the optimal vertex just past the
-        # cost-u crossing, (1 - theta) p + theta v with theta the midpoint
-        # of theta* = (cost(p) - u) / (cost(p) - m) and 1; a strict
-        # combination with an interior point stays in the relative interior;
-        # theta* is over_u / over_m, both over one positive denominator
-        m = res.value
-        over_u = over * m.denominator
-        over_m = _excess(blp, p, pd, m) * u.denominator
-        g = math.gcd(over_u + over_m, 2 * over_m)
-        t, td = (over_u + over_m) // g, 2 * over_m // g
-        vd, vertex = res.witness
-        a, b = (td - t) * vd, t * pd
-        ints = [a * x for x in p]
-        for j, v in vertex.items():
-            ints[j] += b * v
-        den = td * pd * vd
-    else:
-        # u is the optimum here, so the check's cost window is the optimal face
-        ints, den, flags = warm.face_interior_ints()
-        provenance = OPTIMAL_FACE_INTERIOR
-    _check_star_invariants(blp, ints, den, flags, u)
-    return StarPoint(exactlp.divided(ints, den), provenance, blp.columns)
+    ints, den, flags = warm.interior_ints()
+    excess = _check_star_point(blp, ints, den, flags, face=False)
+    if res.value < u or excess == 0:
+        return StarPoint(flags, FEASIBLE_INTERIOR, blp.columns)
+    ints, den, flags = warm.face_interior_ints()
+    _check_star_point(blp, ints, den, flags, face=True)
+    return StarPoint(flags, OPTIMAL_FACE_INTERIOR, blp.columns)
 
 
 def refine_aip(aip: Relaxation, star: StarPoint) -> Relaxation:
-    """Eliminate every column whose star coordinate is zero: each row keeps
-    its nonzeros in the kept columns, re-indexed."""
+    """Eliminate every column outside the star point's support: each row
+    keeps its nonzeros in the kept columns, re-indexed."""
     if star.columns != aip.columns:
         raise IndexMisalignment("star point indexed against a different program")
-    keep = [i for i, v in enumerate(star.values) if v > 0]
-    dropped = [aip.columns[i] for i, v in enumerate(star.values) if v == 0]
+    keep = [i for i, f in enumerate(star.flags) if f]
+    dropped = [aip.columns[i] for i, f in enumerate(star.flags) if not f]
     new = {i: k for k, i in enumerate(keep)}  # kept column -> its new index
     return Relaxation(
         len(keep),

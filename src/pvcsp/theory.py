@@ -294,17 +294,25 @@ def _element_index(
     return elements, element_of
 
 
+def _capped_power(base: int, exp: int, cap: int) -> int:
+    """base ** exp, with exp clamped to cap's bit length plus one: past it
+    a power of base >= 2 is over cap anyway, so a guard against cap reads
+    it right, and no int much longer than cap is built or printed."""
+    return base ** min(exp, cap.bit_length() + 1)
+
+
 def _element_costs_size(
-    delta: ValuedStructure, partition: BlockPartition
+    delta: ValuedStructure, partition: BlockPartition, cap: int
 ) -> tuple[int, int]:
     """The argument tuples `_element_costs` visits (per symbol, one first
     tuple per element times |D|^m per other position) and the most keys it
-    returns (per symbol, |E|^arity), counted without listing any."""
+    returns (per symbol, |E|^arity), counted without listing any: exact
+    while at most cap, and past it some count over cap."""
     m, d = partition.arity, len(delta.domain)
-    count = _element_count(d, partition)
+    count = min(_element_count(d, partition), cap + 1)
     arities = [arity for _, arity in delta.signature.symbols]
-    tuples = sum(count * d ** (m * (a - 1)) for a in arities)
-    return tuples, sum(count**a for a in arities)
+    tuples = sum(count * _capped_power(d, m * (a - 1), cap) for a in arities)
+    return tuples, sum(_capped_power(count, a, cap) for a in arities)
 
 
 def _element_costs(
@@ -353,9 +361,9 @@ def block_multiset_structure(
     structure; blocks of sizes L+1, L give the bimultiset structure."""
     m = partition.arity
     # the tuples _element_costs visits, and the table entries
-    work = sum(_element_costs_size(delta, partition))
+    work = sum(_element_costs_size(delta, partition, cap))
     if work > cap:
-        raise ResourceGuard(f"multiset structure: {work} tuples over cap {cap}")
+        raise ResourceGuard(f"multiset structure: at least {work} tuples over cap {cap}")
     labels = _labels(block_multiset_domain(delta.domain, partition))
     _, sums, scale = _element_costs(delta, partition)
     tables = {symbol: {} for symbol in delta.signature.names()}
@@ -462,15 +470,14 @@ def _search(
     """
     delta, gamma = template.delta, template.gamma
     q, size = len(gamma.domain), _element_count(len(delta.domain), partition)
-    # q^size tables; past cap's bit length the power is over any cap
-    count = q ** min(size, cap.bit_length() + 1)
+    count = _capped_power(q, size, cap)  # q^size tables
     if count > cap:
-        raise ResourceGuard(f"{q}^{size} block-symmetric tables exceed cap {cap}")
+        raise ResourceGuard(f"at least {count} block-symmetric tables exceed cap {cap}")
     # the tuples _element_costs visits, then each candidate reads its rows
-    tuples, rows = _element_costs_size(delta, partition)
+    tuples, rows = _element_costs_size(delta, partition, cap)
     work = tuples + count * rows
     if work > cap:
-        raise ResourceGuard(f"polymorphism search: {work} steps over cap {cap}")
+        raise ResourceGuard(f"polymorphism search: at least {work} steps over cap {cap}")
     m = partition.arity
     element_of, sums, scale = _element_costs(delta, partition)
     ids: dict = {PLUS_INF: -1}  # +inf is -1, a finite cost its position

@@ -220,6 +220,17 @@ def test_construct_counts_enumerated_tuples(tmp_path, capsys, monkeypatch):
     assert "over cap" in capsys.readouterr().err
 
 
+def test_construct_huge_block_has_a_short_refusal(tmp_path, capsys):
+    # one block of a million visits 2^(10^6) tuples per element: the count
+    # stops past the cap's bit length, so no 300,000-digit int is printed
+    s = tmp_path / "xor.pvcsp"
+    s.write_text(formats.print_structure(generators.xor_structure()))
+    code = main(["construct", "--structure", str(s), "--partition", "sizes:1000000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR and captured.out == ""
+    assert "over cap" in captured.err and len(captured.err) < 200
+
+
 @pytest.mark.parametrize(
     "spec", ["sizes:a", "sizes:0", "sizes:2,-1", "sizes:", "sizes:\u0662", "sizes:+2", "sizes: 2"]
 )

@@ -1,12 +1,14 @@
 """Contracts the package keeps with its own benchmark and its own rules."""
 
 import ast
+import fractions
 import gc
 import importlib
 import importlib.util
 import inspect
 import pathlib
 import random
+import sys
 import types
 from fractions import Fraction as F
 
@@ -15,6 +17,7 @@ from helpers import dense_lp, fraction_star_point
 
 from pvcsp import exactlp, formats, generators, lattice, relax, theory
 from pvcsp.core import Instance, PromiseTemplate, Signature, Term, ValuedStructure
+from pvcsp.values import PLUS_INF
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -228,6 +231,53 @@ def test_witness_search_is_in_ints_up_to_its_weights(monkeypatch):
     assert found != theory.NONE_EXISTS
     assert len(made) == len(found.support()) > 1
     assert all(type(a) is int for args in made for a in args)
+
+
+def test_star_point_builds_no_fraction(monkeypatch):
+    # the star point is its support: from blp.phase2 to the refined AIP,
+    # select_star_point and refine_aip build no Fraction, on all three
+    # branches, over the xor, horn, submodular and random families.  The
+    # one exception is the optimal face's own phase 2, whose LPResult value
+    # WarmLP.minimise builds, once per face
+    made, inside = [], []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        if inside:
+            made.append(sys._getframe(1).f_code.co_name)
+        return new(cls, *args, **kwargs)
+
+    def spanned(f):
+        def run(*args):
+            inside.append(f)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+
+        return run
+
+    rng = random.Random(68)
+    structures = [
+        generators.xor_structure(),
+        generators.horn_structure(),
+        generators.submodular_structure(rng),
+        generators.random_structure(rng, 2),
+    ]
+    cases = []
+    for delta in structures * 6:
+        instance = generators.random_instance(rng, delta, 6, 6)
+        value = relax.blp_value(relax.build_blp(delta, instance))
+        if value is not PLUS_INF:
+            for u in (value, value + F(1, 2)):
+                cases.append((delta, Instance(instance.variables, instance.terms, u)))
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    monkeypatch.setattr(relax, "select_star_point", spanned(relax.select_star_point))
+    monkeypatch.setattr(relax, "refine_aip", spanned(relax.refine_aip))
+    provenances = [relax.combined_solve(*case).star_provenance for case in cases]
+    faces = provenances.count(relax.OPTIMAL_FACE_INTERIOR)
+    assert faces and provenances.count(relax.FEASIBLE_INTERIOR) > faces
+    assert made == ["minimise"] * faces
 
 
 def test_no_unused_imports_in_package():

@@ -291,9 +291,16 @@ def test_aip_value_empty_domain_symbol_infeasible():
     assert aip_value(build_aip(empty, ins)) is PLUS_INF
 
 
-def value_of(star, key):
-    """The star point's value at a column key; 0 at an eliminated column."""
-    return dict(zip(star.columns, star.values)).get(key, 0)
+def flag_of(star, key):
+    """Whether the star point's support holds a column key; an eliminated
+    column is outside it."""
+    return dict(zip(star.columns, star.flags)).get(key, False)
+
+
+def reference_point(blp, u):
+    """fraction_star_point's values at u, with its cost."""
+    _, _, values, _, _ = fraction_star_point(blp, u)
+    return values, sum((c * v for c, v in zip(costs(blp), values)), F(0))
 
 
 def test_select_star_point_interior_case():
@@ -302,25 +309,23 @@ def test_select_star_point_interior_case():
     star = select_star_point(blp, F(0))
     assert star.provenance == FEASIBLE_INTERIOR
     # the parity polytope's interior mixes both satisfying tuples
-    assert value_of(star, ("lam", 0, ("0", "1"))) > 0
-    assert value_of(star, ("lam", 0, ("1", "0"))) > 0
-    assert value_of(star, ("lam", 0, ("0", "0"))) == 0
-
-
-def star_cost(blp, star):
-    return sum((c * v for c, v in zip(costs(blp), star.values)), F(0))
+    assert flag_of(star, ("lam", 0, ("0", "1")))
+    assert flag_of(star, ("lam", 0, ("1", "0")))
+    assert not flag_of(star, ("lam", 0, ("0", "0")))
 
 
 def test_select_star_point_mixing_case():
     # optimum 0 < threshold 1/4 < interior cost 1/2: a strict convex mix
-    # with the optimal vertex keeps full support and drops below u
+    # with the optimal vertex keeps full support and drops below u, so the
+    # support is the region's
     ins = inst(["x"], [("w", ["x"])], F(1, 4))
     blp = build_blp(WEIGHTED, ins)
     assert blp_value(blp) == 0
     star = select_star_point(blp, F(1, 4))
     assert star.provenance == FEASIBLE_INTERIOR
-    assert all(v > 0 for v in star.values)
-    assert star_cost(blp, star) <= F(1, 4)
+    assert all(star.flags)
+    values, cost = reference_point(blp, F(1, 4))
+    assert [v > 0 for v in values] == star.flags and cost <= F(1, 4)
 
 
 def test_select_star_point_optimal_face_case():
@@ -330,9 +335,11 @@ def test_select_star_point_optimal_face_case():
     blp = build_blp(WEIGHTED, ins)
     star = select_star_point(blp, F(0))
     assert star.provenance == OPTIMAL_FACE_INTERIOR
-    assert star_cost(blp, star) == 0
-    assert value_of(star, ("mu", "x", "1")) == 0
-    assert value_of(star, ("mu", "x", "0")) == 1
+    assert flag_of(star, ("mu", "x", "0"))
+    assert not flag_of(star, ("mu", "x", "1"))
+    assert not flag_of(star, ("lam", 0, ("1",)))
+    values, cost = reference_point(blp, F(0))
+    assert [v > 0 for v in values] == star.flags and cost == 0
 
 
 def test_select_star_point_single_point_polytope():
@@ -342,56 +349,88 @@ def test_select_star_point_single_point_polytope():
     blp = build_blp(XOR, ins)
     star = select_star_point(blp, F(0))
     assert star.provenance == FEASIBLE_INTERIOR
-    assert all(v == F(1, 2) for v in star.values)
+    assert all(star.flags)
+    values, _ = reference_point(blp, F(0))
+    assert all(v == F(1, 2) for v in values)
 
 
 def test_select_star_point_interior_meets_loose_threshold():
-    # at u = 1/2 the interior point itself is cheap enough, so no
-    # mixing happens and both lambda coordinates stay positive
+    # at u = 1/2 the interior point itself is cheap enough, so both
+    # lambda coordinates stay in the support
     ins = inst(["x"], [("w", ["x"])], F(1, 2))
     blp = build_blp(WEIGHTED, ins)
     star = select_star_point(blp, F(1, 2))
     assert star.provenance == FEASIBLE_INTERIOR
-    assert value_of(star, ("lam", 0, ("0",))) > 0
-    assert value_of(star, ("lam", 0, ("1",))) > 0
-    assert star_cost(blp, star) <= F(1, 2)
+    assert flag_of(star, ("lam", 0, ("0",)))
+    assert flag_of(star, ("lam", 0, ("1",)))
+    values, cost = reference_point(blp, F(1, 2))
+    assert [v > 0 for v in values] == star.flags and cost <= F(1, 2)
+
+
+def test_region_support_at_u_needs_exactly_the_optimum(monkeypatch):
+    # at u = the optimum the region's support is taken only when its point
+    # costs exactly the optimum (the objective is constant on the region):
+    # a cost the check reports below it does not qualify, and the check
+    # reads the region's point, then the face's
+    check = relax._check_star_point
+    seen = []
+
+    def below(blp, ints, den, flags, face):
+        seen.append(face)
+        excess = check(blp, ints, den, flags, face)
+        return excess if face else -1
+
+    monkeypatch.setattr(relax, "_check_star_point", below)
+    blp = build_blp(WEIGHTED, inst(["x"], [("w", ["x"])], 0))
+    assert select_star_point(blp, F(0)).provenance == OPTIMAL_FACE_INTERIOR
+    assert seen == [False, True]
 
 
 def test_star_invariants_survive_optimise_flag():
-    # under python -O every assert vanishes; the star-point check must not,
-    # neither called directly nor on the mix with a corrupted optimal vertex
+    # under python -O every assert vanishes; each of the star-point check's
+    # five tests must not, called directly on a corrupted interior point
     script = """
-import math
 from fractions import Fraction as F
-from pvcsp import generators, relax
+from pvcsp import relax
 from pvcsp.core import Instance, Signature, Term, ValuedStructure
 from pvcsp.errors import InvariantViolated
 if __debug__:
     raise SystemExit("asserts are still on")
-ins = Instance(("x", "y"), (Term("xor1", ("x", "y")),), F(0))
-blp = relax.build_blp(generators.xor_structure(), ins)
-star = relax.select_star_point(blp, F(0))
-flags = [v > 0 for v in star.values]
-den = math.lcm(*(v.denominator for v in star.values))
-bad = [v.numerator * (den // v.denominator) for v in star.values]
-bad[0] += den
-try:
-    relax._check_star_invariants(blp, bad, den, flags, F(0))
-except InvariantViolated as exc:
-    print("caught:", exc)
 weighted = ValuedStructure(
     Signature((("w", 1),)), ("0", "1"), {"w": {("0",): F(0), ("1",): F(1)}}
 )
-ins = Instance(("x",), (Term("w", ("x",)),), F(1, 4))
-blp = relax.build_blp(weighted, ins)
-_, vertex = blp.phase2.witness
-vertex[min(vertex)] += 1
-try:
-    relax.select_star_point(blp, F(1, 4))
-except InvariantViolated as exc:
-    print("caught:", exc)
+blp = relax.build_blp(weighted, Instance(("x",), (Term("w", ("x",)),), F(1)))
+ints, den, flags = blp.warm.interior_ints()
+lam1 = blp.columns.index(("lam", 0, ("1",)))
+mu0, mu1 = blp.columns.index(("mu", "x", "0")), blp.columns.index(("mu", "x", "1"))
+bad_row = list(ints)
+bad_row[0] += den
+negative = [-x for x in ints]  # every row's rhs 0 or 1: scale den by -1
+lower = list(ints)  # all weight moved onto the cheap label: flags differ
+lower[lam1 - 1] += lower[lam1]
+lower[mu0] += lower[mu1]
+lower[lam1] = lower[mu1] = 0
+cases = [
+    (bad_row, den, flags, False),
+    (negative, -den, flags, False),
+    (lower, den, flags, False),
+    (lower, den, [x > 0 for x in lower], True),
+    (ints, den, flags, True),
+]
+blp.phase2.value = F(1, 3)  # above lower's cost 0, below ints' cost 1/2
+for point, d, f, face in cases:
+    try:
+        relax._check_star_point(blp, point, d, f, face)
+    except InvariantViolated as exc:
+        print("caught:", exc)
 """
-    assert run_optimised(script) == ["caught: star point violates an equality"] * 2
+    assert run_optimised(script) == [
+        "caught: star point violates an equality",
+        "caught: star point has a negative coordinate",
+        "caught: star point support differs from its flags",
+        "caught: star point costs less than the optimum",
+        "caught: optimal-face point costs more than the optimum",
+    ]
 
 
 def run_optimised(script):
@@ -405,8 +444,11 @@ def run_optimised(script):
 
 
 def test_star_cost_window_survives_optimise_flag():
-    # every star point costs between the BLP's optimum and the threshold;
-    # under python -O both ends of that window are still checked
+    # every checked point costs at least the BLP's optimum, and the optimal
+    # face's exactly it; under python -O select_star_point still checks the
+    # point of the branch it takes: an optimal face whose point costs above
+    # the optimum, and a region whose interior point costs below it, are
+    # refused
     script = """
 from fractions import Fraction as F
 from pvcsp import relax
@@ -417,29 +459,29 @@ if __debug__:
 weighted = ValuedStructure(
     Signature((("w", 1),)), ("0", "1"), {"w": {("0",): F(0), ("1",): F(1)}}
 )
-ins = Instance(("x",), (Term("w", ("x",)),), F(1))
-# the interior point costs 1/2; the optimum 0, raised to 1, is above it
-blp = relax.build_blp(weighted, ins)
-blp.phase2.value += 1
-ints, den, flags = blp.warm.interior_ints()
-try:
-    relax._check_star_invariants(blp, ints, den, flags, F(1))
-except InvariantViolated as exc:
-    print("caught:", exc)
-# at u = the optimum 0 the star point is the optimal face's; the region's
-# interior point costs more
+ins = Instance(("x",), (Term("w", ("x",)),), F(0))
 blp = relax.build_blp(weighted, ins)
 print(relax.select_star_point(blp, F(0)).provenance)
-ints, den, flags = blp.warm.interior_ints()
+# the face's support rounds read every column: the interior point, at
+# cost 1/2, is the face's point, above the optimum 0
+blp = relax.build_blp(weighted, ins)
+blp.warm.face_interior_ints = blp.warm.interior_ints
 try:
-    relax._check_star_invariants(blp, ints, den, flags, blp.phase2.value)
+    relax.select_star_point(blp, F(0))
+except InvariantViolated as exc:
+    print("caught:", exc)
+# the optimum raised to 1, above the interior point's cost 1/2, with u = 2
+blp = relax.build_blp(weighted, ins)
+blp.phase2.value += 1
+try:
+    relax.select_star_point(blp, F(2))
 except InvariantViolated as exc:
     print("caught:", exc)
 """
     assert run_optimised(script) == [
-        "caught: star point costs less than the optimum",
         relax.OPTIMAL_FACE_INTERIOR,
-        "caught: star point costs more than the threshold",
+        "caught: optimal-face point costs more than the optimum",
+        "caught: star point costs less than the optimum",
     ]
 
 
@@ -462,8 +504,9 @@ def mixed_denominator_structure(rng):
 
 
 def test_star_point_ints_match_fraction_reference(monkeypatch):
-    # the value, cost, theta and mix computed in ints over one denominator
-    # give the Fraction sums' value and star point, and blp_value followed by
+    # the value and the branch taken, in ints over one denominator, give the
+    # Fraction sums' value, the support of their star point (interior, mixed
+    # or the face's) and its provenance, and blp_value followed by
     # select_star_point runs phase 2 once (twice on the optimal face, whose
     # own optimum runs after the rounds)
     calls = []
@@ -488,7 +531,8 @@ def test_star_point_ints_match_fraction_reference(monkeypatch):
         calls.clear()
         assert blp_value(blp) == value
         star = select_star_point(blp, u)
-        assert star.values == values and star.provenance == provenance
+        assert star.flags == [v > 0 for v in values]
+        assert star.provenance == provenance
         assert len(calls) == (2 if branch == "face" else 1)
     assert min(branches.values()) >= 30
 
@@ -512,7 +556,7 @@ def test_refine_aip_drops_zero_columns():
         aip = build_aip(delta, ins)
         star = select_star_point(build_blp(delta, ins), F(0))
         refined = refine_aip(aip, star)
-        keep = [j for j, v in enumerate(star.values) if v > 0]
+        keep = [j for j, f in enumerate(star.flags) if f]
         assert refined.n == len(keep)
         assert refined.columns == [aip.columns[j] for j in keep]
         dropped.append(aip.n - len(keep))

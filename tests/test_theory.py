@@ -858,11 +858,32 @@ def test_search_guard_counts_the_enumerated_work():
     # candidates over at most 2 * 7^2 + 2 * 7^3 rows: far under the cap
     xor = generators.xor_structure()
     partition = BlockPartition.from_sizes([6])
-    tuples, rows = theory._element_costs_size(xor, partition)
+    tuples, rows = theory._element_costs_size(xor, partition, theory.DEFAULT_CAP)
     assert (tuples, rows) == (58_240, 784)
     assert len(theory._element_costs(xor, partition)[1]) <= rows
     template = PromiseTemplate(xor, xor)
     assert find_promise_fpol_lp(template, 6, partition=partition) == NONE_EXISTS
+
+
+def test_work_counts_stop_past_the_cap():
+    # a block of 10^6 over xor visits about 2^(10^6) tuples; the counts are
+    # exact up to the cap and past it some count over the cap, a few times
+    # its bit length long, and the refusals say so in a short message
+    cap = 10**7
+    xor = generators.xor_structure()
+    assert theory._capped_power(2, 20, cap) == 2**20
+    assert theory._capped_power(2, 10**6, cap) == 2 ** (cap.bit_length() + 1) > cap
+    assert theory._capped_power(1, 10**6, cap) == 1
+    big = BlockPartition.from_sizes([10**6])
+    for count in theory._element_costs_size(xor, big, cap):
+        assert cap < count and count.bit_length() < 4 * cap.bit_length()
+    with pytest.raises(ResourceGuard, match="at least .* tuples over cap") as caught:
+        block_multiset_structure(xor, big, cap)
+    assert len(str(caught.value)) < 100
+    # m = 15000 has 2^15000 elements, an int of 4,516 digits
+    with pytest.raises(ResourceGuard, match="at least .* tables exceed cap") as caught:
+        find_promise_fpol_lp(PromiseTemplate(xor, xor), 15000)
+    assert len(str(caught.value)) < 100
 
 
 def test_cap_guards_refuse_before_enumerating(monkeypatch):
